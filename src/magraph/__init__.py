@@ -22,6 +22,7 @@ from .core import (
     sub_determine_edge,
     sub_determine_mag,
     sub_determine_vertex,
+    subdet_image,
     vertex_from_index,
     vertex_index,
 )

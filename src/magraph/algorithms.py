@@ -28,6 +28,7 @@ from .core import (
     companion_tuple,
     composite_vertex_count,
     sub_companion_tuple,
+    subdet_image,
     vertex_from_index,
     vertex_index,
 )
@@ -86,15 +87,15 @@ class ReachabilityMatrix:
 
 
 def degree(mag: Mag) -> DegreeResult:
-    """In/out degree of every composite vertex by direct edge iteration."""
+    """In/out degree of every composite vertex, counted from the edge arrays; O(n + |E|)."""
     tau = companion_tuple(mag)
     n = composite_vertex_count(tau)
-    indeg = [0] * n
-    outdeg = [0] * n
-    for e in mag.edges:
-        outdeg[vertex_index(e.origin, tau) - 1] += 1
-        indeg[vertex_index(e.destination, tau) - 1] += 1
-    return DegreeResult(tuple(indeg), tuple(outdeg), None, tau)
+    return DegreeResult(
+        tuple(np.bincount(mag.destination, minlength=n).tolist()),
+        tuple(np.bincount(mag.origin, minlength=n).tolist()),
+        None,
+        tau,
+    )
 
 
 def degree_from_adjacency(jm: MatrixWithTuple) -> DegreeResult:
@@ -120,24 +121,19 @@ def sub_det_degree(
     separation loops move to selfdegree and in/out exclude them.
     """
     tau = companion_tuple(mag)
-    zeta.require_valid(tau.order)
+    image = subdet_image(tau, zeta)
     tz = sub_companion_tuple(tau, zeta)
     n = composite_vertex_count(tz)
-    indeg = [0] * n
-    outdeg = [0] * n
-    selfdeg = [0] * n
-    for e in mag.edges:
-        o = vertex_index(e.origin, tz) - 1
-        d = vertex_index(e.destination, tz) - 1
-        if separate_loops and o == d:
-            selfdeg[o] += 1
-        else:
-            outdeg[o] += 1
-            indeg[d] += 1
+    o, d = image[mag.origin], image[mag.destination]
+    selfdeg = None
+    if separate_loops:
+        loop = o == d
+        selfdeg = tuple(np.bincount(o[loop], minlength=n).tolist())
+        o, d = o[~loop], d[~loop]
     return DegreeResult(
-        tuple(indeg),
-        tuple(outdeg),
-        tuple(selfdeg) if separate_loops else None,
+        tuple(np.bincount(d, minlength=n).tolist()),
+        tuple(np.bincount(o, minlength=n).tolist()),
+        selfdeg,
         tz,
     )
 
@@ -229,8 +225,8 @@ def bfs_sub(
     ns = composite_vertex_count(tz)
     src = _source_index(source, tz.restricted()) - 1
 
-    # image of every composite vertex, 0-based (O(n·p))
-    image = [vertex_index(vertex_from_index(j, tau), tz) - 1 for j in range(1, n + 1)]
+    image_array = subdet_image(tau, zeta)
+    image = image_array.tolist()
 
     distance = [math.inf] * ns
     pred: list[int | None] = [None] * ns
@@ -240,11 +236,9 @@ def bfs_sub(
     color_sub[src] = GRAY
 
     color = [WHITE] * n
-    queue = deque()
-    for j in range(n):
-        if image[j] == src:
-            queue.append(j)
-            color[j] = GRAY
+    queue = deque(np.flatnonzero(image_array == src).tolist())
+    for j in queue:
+        color[j] = GRAY
     while queue:
         u = queue[0]
         for v in _successors(jm.matrix, u):
@@ -392,7 +386,8 @@ def dfs_sub(jm: MatrixWithTuple, zeta: SubDetermination) -> DfsResult:
 
     A successor joins a tree only if the sub-determined BFS from the tree's
     root (run on the full graph) reaches it, which keeps aggregation-only
-    paths out of the forest. One BFS per tree root; O(n+|E|) overall.
+    paths out of the forest. That is one full bfs_sub per tree root, so r
+    trees cost O(r·(n+|E|)): quadratic when r grows with n.
     """
     tau = jm.tau
     zeta.require_valid(tau.order)

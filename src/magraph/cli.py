@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .algorithms import (
     BfsResult,
     DegreeResult,
@@ -33,15 +35,15 @@ from .core import (
     Mag,
     SubDetermination,
     companion_tuple,
-    vertex_from_index,
+    composite_vertex_count,
 )
 from .errors import MagError
 from .io import builtin_example, load_mag, save_mag, export_matrix_market
 from .matrices import (
+    _incidence,
     adjacency_matrix,
     combinatorial_laplacian,
     elimination_matrix,
-    incidence_matrix,
     main_components,
     normalized_laplacian,
     sub_determination_matrix,
@@ -82,14 +84,8 @@ def _kept_aspects(mag: Mag, zeta: SubDetermination) -> AspectList:
 
 
 def _vertex_column(aspects: AspectList) -> list[str]:
-    tau = CompanionTuple(aspects.sizes())
-    n = 1
-    for s in tau.sizes:
-        n *= s
-    return [
-        str(aspects.vertex_from_numeric(vertex_from_index(d, tau)))
-        for d in range(1, n + 1)
-    ]
+    n = composite_vertex_count(CompanionTuple(aspects.sizes()))
+    return ["(" + labels + ")" for labels in aspects.joined_labels(np.arange(n))]
 
 
 def _fmt_dist(x: float) -> str:
@@ -144,7 +140,7 @@ def _cmd_info(args, parser) -> int:
                     "order": mag.order,
                     "tau": list(tau.sizes),
                     "vertices": mag.vertex_count,
-                    "edges": len(mag.edges),
+                    "edges": len(mag.origin),
                     "trivial": list(trivial),
                 },
                 sort_keys=True,
@@ -155,7 +151,7 @@ def _cmd_info(args, parser) -> int:
     print(f"order: {mag.order}")
     print("tau: " + ",".join(str(s) for s in tau.sizes))
     print(f"vertices: {mag.vertex_count}")
-    print(f"edges: {len(mag.edges)}")
+    print(f"edges: {len(mag.origin)}")
     print(("trivial: " + " ".join(str(d) for d in trivial)).rstrip())
     return 0
 
@@ -288,7 +284,7 @@ def _cmd_export(args, parser) -> int:
             matrix = adjacency_matrix(mag).matrix
             mode = "adjacency"
         elif kind == "incidence":
-            matrix = incidence_matrix(mag)[0].matrix
+            matrix = _incidence(mag).matrix
             mode = "incidence"
         elif kind == "elimination":
             if args.main_components:
@@ -296,7 +292,7 @@ def _cmd_export(args, parser) -> int:
             matrix = elimination_matrix(mag)
             mode = None
         else:
-            c = incidence_matrix(mag)[0].matrix
+            c = _incidence(mag).matrix
             if kind == "laplacian":
                 matrix = combinatorial_laplacian(c)
             elif kind == "weighted-laplacian":

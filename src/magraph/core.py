@@ -7,6 +7,14 @@ radices are the aspect sizes (the companion tuple); all matrix modules key
 rows and columns by that index. Internally tuples are 0-based and the +1
 happens at this boundary only.
 
+Edges are stored in columnar form. The paper makes a graph isomorphic to a
+digraph on composite vertices, so an edge is exactly an (origin index,
+destination index, weight) triple: a Mag holds read-only int64 arrays of
+0-based origin and destination indices and a float64 array of weights, and
+validates them once, vectorized, when it is built. ``Mag.edges`` (MagEdge
+objects with labels) is built from the arrays on first access only; the
+matrix, degree, I/O and sub-determination code reads the arrays.
+
 Aggregating away some aspects is *sub-determination*: a bitmask selects the
 aspects to keep (least significant bit = first aspect), and vertices, edges,
 and whole graphs have sub-determined images. Sub-determined edges that
@@ -17,8 +25,11 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cache, cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
@@ -27,8 +38,10 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidAspectError,
     InvalidZetaError,
+    MagError,
     NonPositiveWeightError,
     SelfLoopEdgeError,
+    ShapeMismatchError,
     UnknownElementError,
 )
 
@@ -143,6 +156,16 @@ class AspectList:
             labels.append(a.elements[i])
         return CompositeVertex(tuple(labels), numeric)
 
+    def joined_labels(self, index: np.ndarray) -> list[str]:
+        """Comma-joined element labels of each 0-based composite index."""
+        vertices, which = np.unique(index, return_inverse=True)
+        columns = [
+            [a.elements[i] for i in digit.tolist()]
+            for a, digit in zip(self.aspects, _digits(vertices, self.sizes()))
+        ]
+        labels = [",".join(t) for t in zip(*columns)]
+        return [labels[k] for k in which.tolist()]
+
     def edge(
         self,
         origin: Sequence[str],
@@ -175,39 +198,56 @@ class MagEdge:
         return f"{self.origin} -> {self.destination}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mag:
-    """A multi-aspect graph: aspect list plus an ordered, duplicate-free edge tuple.
+    """A multi-aspect graph: aspect list plus an ordered, duplicate-free edge list.
 
-    Edge order is meaningful (it fixes incidence-matrix rows and the
-    weighted-Laplacian weight order) and is preserved exactly by file I/O.
+    Edge i runs from composite vertex ``origin[i]`` to ``destination[i]``
+    (0-based indices, i.e. the 1-based vertex index minus one) with weight
+    ``weights[i]``. The constructor copies the three arrays, checks them
+    once (indices in range, no self-loop, no repeated pair, positive
+    weights) and makes them read-only; ``lines``, one source line per edge,
+    only labels its diagnostics. Edge order is meaningful (it fixes
+    incidence-matrix rows and the weighted-Laplacian weight order) and is
+    preserved exactly by file I/O. Two graphs are equal when their names,
+    aspects and arrays are.
     """
 
     aspects: AspectList
-    edges: tuple[MagEdge, ...]
+    origin: np.ndarray
+    destination: np.ndarray
+    weights: np.ndarray
     name: str = "mag"
+    lines: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        seen: set[tuple[Labels, Labels]] = set()
-        for e in self.edges:
-            self._check_endpoint(e.origin)
-            self._check_endpoint(e.destination)
-            key = e.endpoints()
-            if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge {e}")
-            seen.add(key)
+    def __post_init__(self, lines):
+        arrays = _edge_arrays(self.aspects, self.origin, self.destination, self.weights, lines)
+        for field, array in zip(("origin", "destination", "weights"), arrays):
+            object.__setattr__(self, field, array)
 
-    def _check_endpoint(self, v: CompositeVertex) -> None:
-        if v.order != self.aspects.order:
-            raise EdgeArityError(
-                f"vertex {v} has order {v.order}, graph has order {self.aspects.order}"
-            )
-        for a, label, i in zip(self.aspects.aspects, v.labels, v.numeric):
-            if a.index_of(label) != i:
-                raise UnknownElementError(
-                    f"vertex {v} is inconsistent with aspect {a.name!r}"
-                )
+    @cached_property
+    def edges(self) -> tuple[MagEdge, ...]:
+        """The edges as MagEdge objects, in order; built from the arrays on first access."""
+        tau = companion_tuple(self)
+        vertex = cache(lambda k: self.aspects.vertex_from_numeric(vertex_from_index(k + 1, tau)))
+        return tuple(
+            MagEdge(vertex(o), vertex(d), w)
+            for o, d, w in zip(self.origin.tolist(), self.destination.tolist(), self.weights.tolist())
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mag):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.aspects == other.aspects
+            and np.array_equal(self.origin, other.origin)
+            and np.array_equal(self.destination, other.destination)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.aspects, len(self.origin)))
 
     @property
     def order(self) -> int:
@@ -219,7 +259,67 @@ class Mag:
 
     @property
     def edge_weights(self) -> tuple[float, ...]:
-        return tuple(e.weight for e in self.edges)
+        return tuple(self.weights.tolist())
+
+
+def _digits(index: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Mixed-radix digits of 0-based composite indices, one array per aspect size."""
+    rest = np.asarray(index, dtype=np.int64)
+    digits = []
+    for s in sizes:
+        rest, digit = np.divmod(rest, s)
+        digits.append(digit)
+    return digits
+
+
+def _repeats(origin: np.ndarray, destination: np.ndarray) -> np.ndarray:
+    """True at every edge whose (origin, destination) pair occurs earlier."""
+    order = np.lexsort((destination, origin))  # stable: first occurrences sort first
+    o, d = origin[order], destination[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = (o[1:] == o[:-1]) & (d[1:] == d[:-1])
+    return repeat
+
+
+def _edge_arrays(aspects: AspectList, origin, destination, weights, lines=None):
+    """Check an edge list given as index arrays; return read-only copies.
+
+    Vectorized, O(|E| log |E|). A fault is reported at the first offending
+    edge (a duplicate at its second occurrence), tagged with lines[k] when
+    source lines are given.
+    """
+    tau = CompanionTuple(aspects.sizes())
+    n = composite_vertex_count(tau)
+    o = np.array(origin, dtype=np.int64)
+    d = np.array(destination, dtype=np.int64)
+    w = np.array(weights, dtype=np.float64)
+    if not o.shape == d.shape == w.shape == (len(o),):
+        raise ShapeMismatchError(
+            f"edge arrays have shapes {o.shape}, {d.shape} and {w.shape}"
+        )
+    outside = (o < 0) | (o >= n) | (d < 0) | (d >= n)
+    bad = outside | (o == d) | ~(w > 0) | _repeats(o, d)
+    if bad.any():
+        k = int(bad.argmax())
+        line = None if lines is None else lines[k]
+        if outside[k]:
+            raise IndexOutOfRangeError(f"edge {o[k]} -> {d[k]} leaves 0..{n - 1}", line=line)
+        ov, dv = (aspects.vertex_from_numeric(vertex_from_index(int(x) + 1, tau)) for x in (o[k], d[k]))
+        if o[k] == d[k]:
+            raise SelfLoopEdgeError(f"self-loop at {ov}", line=line)
+        if not w[k] > 0:
+            raise NonPositiveWeightError(f"edge weight {w[k]} must be > 0", line=line)
+        raise DuplicateEdgeError(f"duplicate edge {ov} -> {dv}", line=line)
+    for array in (o, d, w):
+        array.flags.writeable = False
+    return o, d, w
+
+
+def _endpoint_index(aspects: AspectList, v: CompositeVertex) -> int:
+    """0-based composite index of a MagEdge endpoint, checked against the aspects."""
+    if aspects.vertex(v.labels) != v:  # raises on a wrong order or an unknown label
+        raise UnknownElementError(f"vertex {v} is inconsistent with the aspects")
+    return vertex_index(v, CompanionTuple(aspects.sizes())) - 1
 
 
 @dataclass(frozen=True)
@@ -288,10 +388,11 @@ def build_mag(
     edges: Iterable[MagEdge],
     name: str = "mag",
 ) -> Mag:
-    """Validate and assemble a graph.
+    """Validate and assemble a graph from MagEdge objects.
 
     Rejects (rather than silently fixes) empty aspects, duplicate edges,
-    self-loops, unknown elements, and arity mismatches.
+    self-loops, unknown elements, and arity mismatches. Each edge is
+    converted to its index pair here; the Mag constructor checks the arrays.
     """
     if not isinstance(aspects, AspectList):
         built = []
@@ -302,7 +403,21 @@ def build_mag(
                 aspect_name, elements = a
                 built.append(Aspect(aspect_name, tuple(elements)))
         aspects = AspectList(tuple(built))
-    return Mag(aspects, tuple(edges), name)
+    origin, destination, weights = [], [], []
+    fault = None
+    for e in edges:
+        try:
+            ends = _endpoint_index(aspects, e.origin), _endpoint_index(aspects, e.destination)
+        except MagError as exc:
+            fault = exc
+            break
+        origin.append(ends[0])
+        destination.append(ends[1])
+        weights.append(e.weight)
+    mag = Mag(aspects, origin, destination, weights, name)  # a fault on an earlier edge wins
+    if fault is not None:
+        raise fault
+    return mag
 
 
 def companion_tuple(mag: Mag) -> CompanionTuple:
@@ -396,25 +511,40 @@ def sub_determine_edge(e: MagEdge, zeta: SubDetermination) -> MagEdge | None:
     return MagEdge(o, d, e.weight)
 
 
+def subdet_image(tau: CompanionTuple, zeta: SubDetermination) -> np.ndarray:
+    """0-based sub-determined index of every 0-based composite index under tau.
+
+    Entry j is the index, among the kept aspects, of vertex j's image;
+    mixed-radix arithmetic on np.arange(n), O(p·n).
+    """
+    tz = sub_companion_tuple(tau, zeta)
+    index = np.arange(composite_vertex_count(tau), dtype=np.int64)
+    image = np.zeros_like(index)
+    weight = 1
+    for digit, s in zip(_digits(index, tau.sizes), tz.sizes):
+        if s:
+            image += digit * weight
+            weight *= s
+    return image
+
+
 def sub_determine_mag(mag: Mag, zeta: SubDetermination) -> Mag:
     """The graph over the kept aspects.
 
     Self-loop images are dropped and parallel images collapse to a single
     edge (first occurrence order, unit weight); edge multiplicities survive
-    only in the matrix form.
+    only in the matrix form. O(n + |E| log |E|).
     """
-    zeta.require_valid(mag.order)
-    kept = zeta.kept(mag.order)
-    aspects = AspectList(tuple(mag.aspects.aspects[i] for i in kept))
-    seen: set[tuple[Labels, Labels]] = set()
-    edges = []
-    for e in mag.edges:
-        image = sub_determine_edge(e, zeta)
-        if image is None:
-            continue
-        key = image.endpoints()
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(MagEdge(image.origin, image.destination))
-    return Mag(aspects, tuple(edges), f"{mag.name}_zeta{zeta.bits(mag.order)}")
+    image = subdet_image(companion_tuple(mag), zeta)
+    aspects = AspectList(tuple(mag.aspects.aspects[i] for i in zeta.kept(mag.order)))
+    o, d = image[mag.origin], image[mag.destination]
+    keep = o != d
+    o, d = o[keep], d[keep]
+    first = ~_repeats(o, d)
+    return Mag(
+        aspects,
+        o[first],
+        d[first],
+        np.ones(int(first.sum())),
+        f"{mag.name}_zeta{zeta.bits(mag.order)}",
+    )

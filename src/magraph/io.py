@@ -25,15 +25,17 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TextIO
 
-from .core import Aspect, AspectList, Mag, MagEdge, build_mag
+import numpy as np
+
+from .core import Aspect, AspectList, Mag, build_mag
 from .errors import (
-    DuplicateEdgeError,
     EdgeArityError,
     EmptyAspectError,
     InvalidAspectError,
     MagError,
     MagParseError,
     NonPositiveWeightError,
+    UnknownElementError,
     UnknownExampleError,
 )
 from .sparse import SparseMatrix
@@ -55,27 +57,34 @@ def _check_label(token: str, line: int | None) -> str:
 def parse_mag(text: str) -> Mag:
     """Parse ``.mag`` text into a validated graph.
 
-    Every diagnostic carries the 1-based source line; a duplicate edge is
-    reported at its second occurrence.
+    Every diagnostic carries the 1-based source line. A fault within one line
+    (syntax, label, arity, weight) is reported wherever it occurs; otherwise
+    the lowest-line edge fault wins: an unknown element, a self-loop, or a
+    duplicate edge at its second occurrence. Labels map straight to composite
+    indices, which the Mag constructor validates once.
     """
     name: str | None = None
     aspect_names: list[str] = []
-    aspect_elements: list[list[str]] = []
+    aspect_index: list[dict[str, int]] = []
     aspect_lines: list[int] = []
-    in_edges = False
-    edge_rows: list[tuple[list[str], list[str], float, int]] = []
+    tables: list[dict[str, int]] | None = None
+    origin: list[int] = []
+    destination: list[int] = []
+    weights: list[float] = []
+    edge_lines: list[int] = []
+    unknown: tuple[int, MagError] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("*"):
+        if line[0] == "*":
             directive, _, rest = line.partition(" ")
             rest = rest.strip()
             if directive == "*mag":
                 if name is not None:
                     raise MagParseError("second *mag section", line=lineno)
-                if aspect_names or in_edges:
+                if aspect_names or tables is not None:
                     raise MagParseError("*mag must come first", line=lineno)
                 if not rest:
                     raise MagParseError("*mag needs a name", line=lineno)
@@ -83,7 +92,7 @@ def parse_mag(text: str) -> Mag:
             elif directive == "*aspect":
                 if name is None:
                     raise MagParseError("*aspect before *mag", line=lineno)
-                if in_edges:
+                if tables is not None:
                     raise MagParseError(
                         "aspect sections must precede *edges", line=lineno
                     )
@@ -94,27 +103,38 @@ def parse_mag(text: str) -> Mag:
                         f"duplicate aspect name {rest!r}", line=lineno
                     )
                 aspect_names.append(rest)
-                aspect_elements.append([])
+                aspect_index.append({})
                 aspect_lines.append(lineno)
             elif directive == "*edges":
                 if name is None or not aspect_names:
                     raise MagParseError("*edges before any aspect", line=lineno)
-                if in_edges:
+                if tables is not None:
                     raise MagParseError("second *edges section", line=lineno)
-                in_edges = True
+                # label -> position times the aspect's mixed-radix weight, so
+                # an endpoint's composite index is one lookup per aspect, summed
+                tables, weight = [], 1
+                for index in aspect_index:
+                    tables.append({label: i * weight for label, i in index.items()})
+                    weight *= len(index)
             else:
                 raise MagParseError(f"unknown directive {directive!r}", line=lineno)
             continue
-        if in_edges:
-            edge_rows.append(_parse_edge_line(line, lineno, len(aspect_names)))
+        if tables is not None:
+            o, d, w, missing = _parse_edge_line(line, lineno, tables, aspect_names)
+            if missing is not None and unknown is None:
+                unknown = (len(origin), missing)
+            origin.append(o)
+            destination.append(d)
+            weights.append(w)
+            edge_lines.append(lineno)
         elif aspect_names:
             label = _check_label(line, lineno)
-            if label in aspect_elements[-1]:
+            if label in aspect_index[-1]:
                 raise InvalidAspectError(
                     f"duplicate element {label!r} in aspect {aspect_names[-1]!r}",
                     line=lineno,
                 )
-            aspect_elements[-1].append(label)
+            aspect_index[-1][label] = len(aspect_index[-1])
         else:
             raise MagParseError(f"unexpected line {line!r}", line=lineno)
 
@@ -122,57 +142,65 @@ def parse_mag(text: str) -> Mag:
         raise MagParseError("missing *mag section", line=1)
     if not aspect_names:
         raise MagParseError("no aspects declared", line=1)
-    for aname, elements, lineno in zip(aspect_names, aspect_elements, aspect_lines):
-        if not elements:
+    for aname, index, lineno in zip(aspect_names, aspect_index, aspect_lines):
+        if not index:
             raise EmptyAspectError(f"aspect {aname!r} has no elements", line=lineno)
 
     aspects = AspectList(
-        tuple(Aspect(a, tuple(es)) for a, es in zip(aspect_names, aspect_elements))
+        tuple(Aspect(a, tuple(index)) for a, index in zip(aspect_names, aspect_index))
     )
-
-    edges: list[MagEdge] = []
-    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-    for origin, destination, weight, lineno in edge_rows:
-        try:
-            edge = aspects.edge(origin, destination, weight)
-        except MagError as exc:
-            raise type(exc)(exc.args[0], line=lineno) from None
-        key = edge.endpoints()
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {edge}", line=lineno)
-        seen.add(key)
-        edges.append(edge)
-    return build_mag(aspects, edges, name)
+    if unknown is not None:
+        k, exc = unknown
+        # a self-loop or duplicate on an earlier line wins over the unknown element
+        Mag(aspects, origin[:k], destination[:k], weights[:k], name, edge_lines[:k])
+        raise exc
+    return Mag(aspects, origin, destination, weights, name, edge_lines)
 
 
 def _parse_edge_line(
-    line: str, lineno: int, order: int
-) -> tuple[list[str], list[str], float, int]:
-    head, _, weight_part = line.partition(":")
+    line: str, lineno: int, tables: list[dict[str, int]], names: list[str]
+) -> tuple[int, int, float, MagError | None]:
+    """Origin and destination index, weight, and the line's unknown-label fault."""
+    head, colon, weight_part = line.partition(":")
     sides = head.split("->")
     if len(sides) != 2:
         raise MagParseError(f"edge line needs exactly one '->': {line!r}", line=lineno)
-    origin = [_check_label(t.strip(), lineno) for t in sides[0].split(",")]
-    destination = [_check_label(t.strip(), lineno) for t in sides[1].split(",")]
+    origin, destination = sides[0].split(","), sides[1].split(",")
+    order = len(tables)
     if len(origin) != order or len(destination) != order:
+        for token in origin + destination:
+            _check_label(token.strip(), lineno)
         raise EdgeArityError(
             f"edge has {len(origin)}+{len(destination)} elements, "
             f"expected {order}+{order}",
             line=lineno,
         )
+    missing = None
+    try:
+        o = sum(map(dict.__getitem__, tables, map(str.strip, origin)))
+        d = sum(map(dict.__getitem__, tables, map(str.strip, destination)))
+    except KeyError:
+        # labels found in their aspect's dict were checked when the aspect was
+        # read; a missing one is checked for syntax, which outranks its absence
+        o = d = -1
+        for table, aname, token in zip(tables * 2, names * 2, origin + destination):
+            if token.strip() not in table:
+                _check_label(token.strip(), lineno)
+                missing = missing or UnknownElementError(
+                    f"element {token.strip()!r} not in aspect {aname!r}", line=lineno
+                )
     weight = 1.0
-    if weight_part.strip():
+    weight_part = weight_part.strip()
+    if weight_part:
         try:
-            weight = float(weight_part.strip())
+            weight = float(weight_part)
         except ValueError:
-            raise MagParseError(
-                f"malformed weight {weight_part.strip()!r}", line=lineno
-            ) from None
+            raise MagParseError(f"malformed weight {weight_part!r}", line=lineno) from None
         if not weight > 0:
             raise NonPositiveWeightError(f"weight {weight} must be > 0", line=lineno)
-    elif ":" in line:
+    elif colon:
         raise MagParseError("':' without a weight", line=lineno)
-    return origin, destination, weight, lineno
+    return o, d, weight, missing
 
 
 def _check_writable(token: str, what: str) -> str:
@@ -190,11 +218,10 @@ def write_mag(mag: Mag) -> str:
             _check_label(_check_writable(label, "label"), None)
             lines.append(label)
     lines.append("*edges")
-    for e in mag.edges:
-        row = ",".join(e.origin.labels) + " -> " + ",".join(e.destination.labels)
-        if e.weight != 1.0:
-            row += f" : {e.weight!r}"
-        lines.append(row)
+    origin = mag.aspects.joined_labels(mag.origin)
+    destination = mag.aspects.joined_labels(mag.destination)
+    for o, d, w in zip(origin, destination, mag.weights.tolist()):
+        lines.append(f"{o} -> {d}" if w == 1.0 else f"{o} -> {d} : {w!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -214,8 +241,14 @@ _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 def export_matrix_market(matrix: SparseMatrix, destination) -> None:
     """Write coordinate-format Matrix Market: 1-based, row-major, 17 digits."""
+    rows = np.repeat(np.arange(1, matrix.rows + 1), np.diff(matrix.indptr))
+    distinct, which = np.unique(matrix.values, return_inverse=True)
+    values = [f"{v:.17g}" for v in distinct.tolist()]  # each distinct value once
     lines = [_MM_HEADER, f"{matrix.rows} {matrix.cols} {matrix.nnz}"]
-    lines.extend(f"{i + 1} {j + 1} {v:.17g}" for i, j, v in matrix.entries())
+    lines.extend(
+        f"{i} {j} {values[k]}"
+        for i, j, k in zip(rows.tolist(), (matrix.indices + 1).tolist(), which.tolist())
+    )
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

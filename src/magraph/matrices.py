@@ -27,8 +27,7 @@ from .core import (
     companion_tuple,
     composite_vertex_count,
     sub_companion_tuple,
-    vertex_from_index,
-    vertex_index,
+    subdet_image,
 )
 from .errors import (
     NonBinaryEntryError,
@@ -50,14 +49,13 @@ class MatrixWithTuple:
 
 
 def adjacency_matrix(mag: Mag) -> MatrixWithTuple:
-    """n x n 0/1 matrix with a 1 at (origin, destination) of every edge; O(p·|E|)."""
+    """n x n 0/1 matrix with a 1 at (origin, destination) of every edge; O(n + |E|)."""
     tau = companion_tuple(mag)
     n = composite_vertex_count(tau)
-    entries = [
-        (vertex_index(e.origin, tau) - 1, vertex_index(e.destination, tau) - 1, 1.0)
-        for e in mag.edges
-    ]
-    return MatrixWithTuple(SparseMatrix.from_entries(n, n, entries), tau)
+    ones = np.ones(len(mag.origin))
+    return MatrixWithTuple(
+        SparseMatrix.from_coo(n, n, mag.origin, mag.destination, ones), tau
+    )
 
 
 def mag_from_adjacency(jm: MatrixWithTuple, name: str = "mag") -> Mag:
@@ -82,42 +80,53 @@ def mag_from_adjacency(jm: MatrixWithTuple, name: str = "mag") -> Mag:
             for k, s in enumerate(tau.sizes)
         )
     )
-    edges = []
-    for r, c, v in m.entries():
-        if v != 1.0:
-            raise NonBinaryEntryError(f"entry ({r + 1},{c + 1}) = {v} is not 0/1")
-        if r == c:
-            raise NonzeroDiagonalError(f"diagonal entry at {r + 1}")
-        origin = aspects.vertex_from_numeric(vertex_from_index(r + 1, tau))
-        dest = aspects.vertex_from_numeric(vertex_from_index(c + 1, tau))
-        edges.append(MagEdge(origin, dest))
-    return Mag(aspects, tuple(edges), name)
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    cols = m.indices
+    bad = (m.values != 1.0) | (rows == cols)
+    if bad.any():
+        k = int(bad.argmax())
+        r, c = int(rows[k]) + 1, int(cols[k]) + 1
+        if m.values[k] != 1.0:
+            raise NonBinaryEntryError(f"entry ({r},{c}) = {float(m.values[k])} is not 0/1")
+        raise NonzeroDiagonalError(f"diagonal entry at {r}")
+    return Mag(aspects, rows, cols, np.ones(len(rows)), name)
+
+
+def _incidence(mag: Mag) -> MatrixWithTuple:
+    """m x n incidence matrix: row i has +1 at edge i's origin, -1 at its destination."""
+    tau = companion_tuple(mag)
+    m = len(mag.origin)
+    rows = np.arange(m)
+    matrix = SparseMatrix.from_coo(
+        m,
+        composite_vertex_count(tau),
+        np.concatenate([rows, rows]),
+        np.concatenate([mag.origin, mag.destination]),
+        np.concatenate([np.ones(m), -np.ones(m)]),
+    )
+    return MatrixWithTuple(matrix, tau)
 
 
 def incidence_matrix(mag: Mag) -> tuple[MatrixWithTuple, tuple[MagEdge, ...]]:
     """m x n incidence matrix (+1 origin, -1 destination) and the row-order edge list.
 
-    Row i is the i-th edge in input order; O(p·|E|).
+    Row i is the i-th edge in input order. The matrix is O(n + |E|); the
+    edge list is ``mag.edges``, built as MagEdge objects on first access.
     """
-    tau = companion_tuple(mag)
-    n = composite_vertex_count(tau)
-    entries = []
-    for i, e in enumerate(mag.edges):
-        entries.append((i, vertex_index(e.origin, tau) - 1, 1.0))
-        entries.append((i, vertex_index(e.destination, tau) - 1, -1.0))
-    matrix = SparseMatrix.from_entries(len(mag.edges), n, entries)
-    return MatrixWithTuple(matrix, tau), mag.edges
+    return _incidence(mag), mag.edges
+
+
+def _touched(mag: Mag) -> np.ndarray:
+    """Boolean per composite vertex (0-based): has at least one incident edge."""
+    touched = np.zeros(mag.vertex_count, dtype=bool)
+    touched[mag.origin] = True
+    touched[mag.destination] = True
+    return touched
 
 
 def trivial_components(mag: Mag) -> tuple[int, ...]:
-    """1-based indices of composite vertices with no incident edge."""
-    tau = companion_tuple(mag)
-    n = composite_vertex_count(tau)
-    touched = set()
-    for e in mag.edges:
-        touched.add(vertex_index(e.origin, tau))
-        touched.add(vertex_index(e.destination, tau))
-    return tuple(d for d in range(1, n + 1) if d not in touched)
+    """1-based indices of composite vertices with no incident edge; O(n + |E|)."""
+    return tuple((np.flatnonzero(~_touched(mag)) + 1).tolist())
 
 
 def elimination_matrix(mag: Mag) -> SparseMatrix:
@@ -125,17 +134,10 @@ def elimination_matrix(mag: Mag) -> SparseMatrix:
 
     With no trivial components this is the n x n identity.
     """
-    tau = companion_tuple(mag)
-    n = composite_vertex_count(tau)
-    trivial = set(trivial_components(mag))
-    entries = []
-    col = 0
-    for d in range(1, n + 1):
-        if d in trivial:
-            continue
-        entries.append((d - 1, col, 1.0))
-        col += 1
-    return SparseMatrix.from_entries(n, col, entries)
+    kept = np.flatnonzero(_touched(mag))
+    return SparseMatrix.from_coo(
+        mag.vertex_count, len(kept), kept, np.arange(len(kept)), np.ones(len(kept))
+    )
 
 
 def main_identity(mag: Mag) -> SparseMatrix:
@@ -196,15 +198,10 @@ def sub_determination_matrix(tau: CompanionTuple, zeta: SubDetermination) -> Spa
     Multiplying by it sums per-composite-vertex quantities into the
     sub-determined vertices; O(n) build.
     """
-    zeta.require_valid(tau.order)
-    tz = sub_companion_tuple(tau, zeta)
-    n = composite_vertex_count(tau)
-    m = composite_vertex_count(tz)
-    entries = []
-    for j in range(1, n + 1):
-        i = vertex_index(vertex_from_index(j, tau), tz)
-        entries.append((i - 1, j - 1, 1.0))
-    return SparseMatrix.from_entries(m, n, entries)
+    image = subdet_image(tau, zeta)
+    m = composite_vertex_count(sub_companion_tuple(tau, zeta))
+    n = len(image)
+    return SparseMatrix.from_coo(m, n, image, np.arange(n), np.ones(n))
 
 
 def sub_determined_adjacency(adjacency: SparseMatrix, aggregation: SparseMatrix) -> SparseMatrix:
@@ -257,27 +254,6 @@ def matrix_rank(matrix: SparseMatrix) -> int:
     return rank
 
 
-def _component_count(matrix: SparseMatrix) -> int:
-    """Connected components of the symmetrized nonzero pattern."""
-    sym = (matrix.pattern() + matrix.transpose().pattern()).pattern()
-    n = sym.rows
-    seen = [False] * n
-    components = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for v in sym.row(u)[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-    return components
-
-
 def nullspace_dimension(matrix: SparseMatrix) -> int:
     """Nullspace dimension of a square matrix.
 
@@ -289,4 +265,4 @@ def nullspace_dimension(matrix: SparseMatrix) -> int:
         raise ShapeMismatchError(f"expected a square matrix, got {matrix.shape}")
     if matrix.rows <= DENSE_CAP:
         return matrix.cols - matrix_rank(matrix)
-    return _component_count(matrix)
+    return matrix.component_count()

@@ -51,8 +51,13 @@ class SparseMatrix:
             ii.append(i)
             jj.append(j)
             vv.append(v)
-        data = np.asarray(vv, dtype=np.float64)
-        coords = (np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64))
+        return cls.from_coo(rows, cols, ii, jj, vv)
+
+    @classmethod
+    def from_coo(cls, rows: int, cols: int, row_index, col_index, values) -> "SparseMatrix":
+        """Build from parallel 0-based row, column and value arrays; duplicates are summed."""
+        data = np.asarray(values, dtype=np.float64)
+        coords = (np.asarray(row_index, dtype=np.int64), np.asarray(col_index, dtype=np.int64))
         coo = sp.coo_array((data, coords), shape=(rows, cols))
         return cls(coo.tocsr())
 
@@ -162,6 +167,12 @@ class SparseMatrix:
         m.data = np.where(keep, 1.0, 0.0)
         return SparseMatrix(m)
 
+    def component_count(self) -> int:
+        """Connected components of the symmetrized nonzero pattern."""
+        from scipy.sparse import csgraph  # slow to import; only this needs it
+
+        return int(csgraph.connected_components(self.pattern()._m, connection="weak")[0])
+
     def to_dense(self) -> np.ndarray:
         if max(self.rows, self.cols) > DENSE_CAP:
             raise TooLargeForDenseError(
@@ -185,9 +196,6 @@ class SparseMatrix:
             return False
         diff = self._m - other._m
         return bool(np.all(np.abs(diff.data) <= tol)) if diff.nnz else True
-
-    def same_pattern(self, other: "SparseMatrix", tol: float = ZERO_TOLERANCE) -> bool:
-        return self.pattern(tol).equals(other.pattern(tol))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):

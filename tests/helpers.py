@@ -78,3 +78,33 @@ def hop_counts_oracle(adj: np.ndarray) -> np.ndarray:
     for k in range(n):
         dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return dist
+
+
+def degree_oracle(mag, zeta=None, separate_loops=False):
+    """(indegree, outdegree, selfdegree) by a loop over MagEdge objects.
+
+    With a sub-determination, endpoints are indexed under the sub-determined
+    companion tuple, and with separate_loops collapsed edges count only as
+    self-loops (selfdegree is None otherwise).
+    """
+    from magraph import (
+        companion_tuple,
+        composite_vertex_count,
+        sub_companion_tuple,
+        vertex_index,
+    )
+
+    tau = companion_tuple(mag)
+    if zeta is not None:
+        tau = sub_companion_tuple(tau, zeta)
+    n = composite_vertex_count(tau)
+    indeg, outdeg, selfdeg = [0] * n, [0] * n, [0] * n
+    for e in mag.edges:
+        o = vertex_index(e.origin, tau) - 1
+        d = vertex_index(e.destination, tau) - 1
+        if separate_loops and o == d:
+            selfdeg[o] += 1
+        else:
+            outdeg[o] += 1
+            indeg[d] += 1
+    return tuple(indeg), tuple(outdeg), tuple(selfdeg) if separate_loops else None

@@ -19,6 +19,7 @@ from magraph import (
     main_components,
     read_matrix_market,
     load_mag,
+    save_mag,
     sub_determine_mag,
 )
 from magraph.cli import main
@@ -326,3 +327,51 @@ def test_usage_errors_exit_2(capsys):
         main(["export", "builtin:T", "--matrix", "subdet-adjacency", "-o", "x.mtx"])
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# every command works from the edge arrays
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["info"],
+        ["info", "--json"],
+        ["degree"],
+        ["degree", "--algebraic"],
+        ["degree", "--zeta", "011", "--separate-loops"],
+        ["degree", "--zeta", "011", "--algebraic"],
+        ["bfs", "--source", "2,Bus,t1"],
+        ["bfs", "--zeta", "011", "--source", "2,Bus"],
+        ["dfs"],
+        ["dfs", "--zeta", "101"],
+        ["export", "--matrix", "subdet-adjacency", "--zeta", "011", "-o", "OUT"],
+        ["export", "--matrix", "adjacency", "--main-components", "-o", "OUT"],
+        ["export", "--matrix", "laplacian", "--main-components", "-o", "OUT"],
+        ["subdet", "--zeta", "011", "-o", "OUT"],
+    ]
+    + [
+        ["export", "--matrix", kind, "-o", "OUT"]
+        for kind in ("adjacency", "incidence", "laplacian", "weighted-laplacian",
+                     "normalized-laplacian", "elimination")
+    ],
+)
+def test_commands_never_build_edge_objects(argv, capsys, tmp_path, monkeypatch):
+    import magraph.cli
+
+    path = tmp_path / "t.mag"
+    save_mag(builtin_example("T"), path)
+    loaded = []
+
+    def load(target):
+        loaded.append(load_mag(target))
+        return loaded[-1]
+
+    monkeypatch.setattr(magraph.cli, "load_mag", load)
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(loaded) == 1
+    assert "edges" not in loaded[0].__dict__

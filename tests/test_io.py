@@ -216,3 +216,87 @@ def test_builtin_r_matrix(mag_r):
 def test_builtin_unknown():
     with pytest.raises(UnknownExampleError):
         builtin_example("S")
+
+
+# ---------------------------------------------------------------------------
+# diagnostics in a large file
+
+BIG_HEADER = (
+    ["*mag big", "*aspect A"]
+    + [f"a{i}" for i in range(50)]
+    + ["*aspect B"]
+    + [f"b{i}" for i in range(40)]
+    + ["*edges"]
+)
+
+
+DUPLICATE_OF_EDGE_3 = "duplicate"
+
+
+def _big_text(faults):
+    """A 2000-edge, 2000-vertex file; faults maps edge positions to replacement lines.
+
+    Returns the text and a function giving the 1-based source line of an
+    edge position.
+    """
+    rng = random.Random(97)
+    pairs = set()
+    edges = []
+    while len(edges) < 2000:
+        o, d = rng.randrange(2000), rng.randrange(2000)
+        if o != d and (o, d) not in pairs:
+            pairs.add((o, d))
+            edges.append(f"a{o % 50},b{o // 50} -> a{d % 50},b{d // 50}")
+    for k, line in faults.items():
+        edges[k] = edges[3] if line == DUPLICATE_OF_EDGE_3 else line
+    return "\n".join(BIG_HEADER + edges) + "\n", lambda k: len(BIG_HEADER) + k + 1
+
+
+FAULT_LINES = {
+    UnknownElementError: "a1,b99 -> a2,b3",
+    SelfLoopEdgeError: "a7,b7 -> a7,b7",
+    DuplicateEdgeError: DUPLICATE_OF_EDGE_3,
+}
+
+
+def test_big_file_parses():
+    text, _ = _big_text({})
+    mag = parse_mag(text)
+    assert len(mag.origin) == 2000
+    assert write_mag(mag) == text
+
+
+@pytest.mark.parametrize("error", list(FAULT_LINES))
+def test_big_file_edge_fault_line(error):
+    text, line_of = _big_text({1500: FAULT_LINES[error]})
+    with pytest.raises(error) as err:
+        parse_mag(text)
+    assert err.value.line == line_of(1500)
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MagParseError, "a1,b1 -> a2,b2 -> a3,b3"),
+        (MagParseError, "a1,*b1 -> a2,b2"),
+        (EdgeArityError, "a1 -> a2,b2"),
+        (NonPositiveWeightError, "a1,b1 -> a2,b2 : -2"),
+        (MagParseError, "a1,b1 -> a2,b2 : heavy"),
+    ],
+)
+def test_big_file_line_fault_beats_earlier_edge_faults(error, line):
+    faults = {100: FAULT_LINES[UnknownElementError], 200: "a9,b9 -> a9,b9"}
+    faults[1900] = line
+    text, line_of = _big_text(faults)
+    with pytest.raises(error) as err:
+        parse_mag(text)
+    assert err.value.line == line_of(1900)
+
+
+@pytest.mark.parametrize("first", list(FAULT_LINES))
+@pytest.mark.parametrize("second", list(FAULT_LINES))
+def test_big_file_lowest_edge_fault_wins(first, second):
+    text, line_of = _big_text({700: FAULT_LINES[first], 1300: FAULT_LINES[second]})
+    with pytest.raises(first) as err:
+        parse_mag(text)
+    assert err.value.line == line_of(700)
