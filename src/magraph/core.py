@@ -207,10 +207,12 @@ class Mag:
     ``weights[i]``. The constructor copies the three arrays, checks them
     once (indices in range, no self-loop, no repeated pair, positive
     weights) and makes them read-only; ``lines``, one source line per edge,
-    only labels its diagnostics. Edge order is meaningful (it fixes
-    incidence-matrix rows and the weighted-Laplacian weight order) and is
-    preserved exactly by file I/O. Two graphs are equal when their names,
-    aspects and arrays are.
+    only labels its diagnostics. ``edges`` gives the same edges as MagEdge
+    objects, built on first access and cached; the package's own code reads
+    only the arrays. Edge order is meaningful (it fixes incidence-matrix
+    rows and the weighted-Laplacian weight order) and is preserved exactly
+    by file I/O. Two graphs are equal when their names, aspects and arrays
+    are.
     """
 
     aspects: AspectList
