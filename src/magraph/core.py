@@ -292,6 +292,8 @@ def _edge_arrays(aspects: AspectList, origin, destination, weights, lines=None):
     """
     tau = CompanionTuple(aspects.sizes())
     n = composite_vertex_count(tau)
+    if n > np.iinfo(np.int64).max:
+        raise IndexOutOfRangeError(f"{n} composite vertices exceed the int64 index range")
     o = np.array(origin, dtype=np.int64)
     d = np.array(destination, dtype=np.int64)
     w = np.array(weights, dtype=np.float64)

@@ -90,6 +90,16 @@ def test_duplicate_labels_rejected():
         AspectList((Aspect("V", ("a",)), Aspect("V", ("b",))))
 
 
+def test_vertex_count_beyond_int64_rejected():
+    # edges are stored as int64 composite indices
+    aspects = AspectList(
+        tuple(Aspect(f"A{k}", tuple(str(i) for i in range(100))) for k in range(10))
+    )
+    edge = aspects.edge(("0",) * 10, ("1",) * 10)
+    with pytest.raises(IndexOutOfRangeError):
+        build_mag(aspects, [edge])
+
+
 def test_nonpositive_weight_rejected(mag_t):
     with pytest.raises(NonPositiveWeightError):
         mag_t.aspects.edge(("2", "Bus", "t1"), ("2", "Bus", "t2"), weight=0.0)
