@@ -34,6 +34,7 @@ from .core import (
 )
 from .errors import (
     IndexOutOfRangeError,
+    MagError,
     ShapeMismatchError,
     TooLargeForDenseError,
     UnknownVertexError,
@@ -295,8 +296,16 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     "series" iterates the scaled Neumann sum I + (rho·J) + (rho·J)^2 + ...
     to its pattern fixpoint, re-binarizing each iterate (values are
     irrelevant, only the pattern is kept); "inverse" densely inverts
-    I - rho·J and keeps entries above half the minimum walk weight
-    (only within the dense cap). All methods produce the same pattern.
+    I - rho·J (only within the dense cap) and keeps the entries above
+    0.5·rho^(n-1). All methods produce the same pattern, or "inverse" raises.
+
+    The cutoff rests on this: the transpose of I - rho·J is an M-matrix
+    with column sums >= 1/2, so LU with partial pivoting makes no row
+    interchanges, and every update adds same-signed terms. An unreachable
+    pair's entry is then exactly 0.0, and a reachable one (>= rho^(n-1))
+    has a small relative error. Once the cutoff underflows (dense graphs,
+    n in the hundreds), a reachable entry below 2^-1074 rounds to 0.0, so
+    the pattern is checked to be closed under J; MagError if it is not.
     """
     matrix = jm.matrix
     if matrix.rows != matrix.cols:
@@ -319,12 +328,12 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
             raise TooLargeForDenseError(
                 f"inverse method needs a dense {n}x{n} solve (cap {DENSE_CAP})"
             )
-        dense = np.linalg.inv(np.eye(n) - rho * matrix.to_dense())
-        # every reachable pair contributes at least one walk of weight
-        # >= rho^(n-1), while unreachable entries have no same-signed
-        # contributions at all and come out exactly zero; cut in between
-        cutoff = 0.5 * rho ** max(n - 1, 1)
-        pattern = SparseMatrix.from_dense(dense > cutoff)
+        walks = np.linalg.inv(np.eye(n) - rho * matrix.to_dense().T).T
+        pattern = SparseMatrix.from_dense(walks > 0.5 * rho ** max(n - 1, 1))
+        if (pattern + pattern @ matrix.pattern()).pattern().nnz != pattern.nnz:
+            raise MagError(
+                f"inverse reachability lost pairs to float underflow (n={n}, rho={rho:.3g})"
+            )
     else:
         raise ValueError(f"method must be closure|series|inverse, got {method!r}")
     return ReachabilityMatrix(pattern, rho)

@@ -6,13 +6,16 @@ Row/column numbers are the 1-based vertex indices shifted down by one.
 
 Also here: the trivial-component elimination matrix and its products, the
 three Laplacians, the aggregation matrix of a sub-determination, and exact
-(rational) rank/nullspace for desk-scale matrices.
+rank and nullity. matrix_rank eliminates on sparse integer rows and refuses
+matrices beyond the dense cap; nullspace_dimension answers any Laplacian
+(D - A, A >= 0 symmetric, zero row sums) by its component count at any size,
+and every other matrix through matrix_rank.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -215,54 +218,77 @@ def sub_determined_adjacency(adjacency: SparseMatrix, aggregation: SparseMatrix)
     return aggregation @ adjacency @ aggregation.transpose()
 
 
-def _exact_fraction(x: float) -> Fraction:
-    return Fraction(*float(x).as_integer_ratio())
-
-
 def matrix_rank(matrix: SparseMatrix) -> int:
-    """Exact rank by rational Gaussian elimination (largest-pivot), dense form.
+    """Exact rank by fraction-free elimination on sparse integer rows.
 
-    Only for matrices within the dense cap. Input entries below the zero
-    tolerance are snapped to zero first (they are float noise from the
-    sparse products); the elimination itself is exact.
+    Entries below the zero tolerance are snapped to zero (float noise from
+    the sparse products). Each other entry is k/2^e, so a row scaled by its
+    largest denominator is an exact int row. Each step pivots on the
+    smallest leading column (the row there with the fewest entries) and
+    updates only the rows that lead there: row = p·row - f·pivot, over its
+    gcd. O(nnz) while rows stay sparse; fill-in can cost O(r·n^2) big-int
+    operations, so both sides are capped at the dense cap.
     """
     if max(matrix.rows, matrix.cols) > DENSE_CAP:
         raise TooLargeForDenseError(
             f"{matrix.shape} exceeds the dense cap of {DENSE_CAP}"
         )
-    a = [
-        [_exact_fraction(x) if abs(x) >= ZERO_TOLERANCE else Fraction(0) for x in row]
-        for row in matrix.to_dense()
-    ]
-    rows, cols = matrix.rows, matrix.cols
+    leading: dict[int, list[dict[int, int]]] = {}
+    indptr, cols, values = (a.tolist() for a in (matrix.indptr, matrix.indices, matrix.values))
+    for lo, hi in zip(indptr, indptr[1:]):
+        ratios = {
+            c: x.as_integer_ratio()
+            for c, x in zip(cols[lo:hi], values[lo:hi])
+            if abs(x) >= ZERO_TOLERANCE
+        }
+        if ratios:
+            scale = max(d for _, d in ratios.values())
+            row = {c: k * (scale // d) for c, (k, d) in ratios.items()}
+            leading.setdefault(min(row), []).append(row)
     rank = 0
-    r = 0
-    for c in range(cols):
-        pivot = max(range(r, rows), key=lambda i: abs(a[i][c]), default=None)
-        if pivot is None or a[pivot][c] == 0:
+    for c in range(matrix.cols):
+        rows = leading.pop(c, [])
+        if not rows:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        for i in range(r + 1, rows):
-            if a[i][c]:
-                factor = a[i][c] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
         rank += 1
-        r += 1
-        if r == rows:
-            break
+        pivot = min(rows, key=len)
+        for row in rows:
+            if row is pivot:
+                continue
+            g = math.gcd(pivot[c], row[c])
+            p, f = pivot[c] // g, row[c] // g
+            new = {k: p * v for k, v in row.items()}
+            for k, v in pivot.items():
+                new[k] = new.get(k, 0) - f * v
+            g = math.gcd(*new.values())
+            new = {k: v // g for k, v in new.items() if v}
+            if new:
+                leading.setdefault(min(new), []).append(new)
     return rank
 
 
 def nullspace_dimension(matrix: SparseMatrix) -> int:
-    """Nullspace dimension of a square matrix.
+    """Exact nullspace dimension of a square matrix, by one of two routes.
 
-    Within the dense cap this is cols - exact rank; beyond it the matrix is
-    assumed Laplacian-like and the count of connected components of the
-    symmetrized pattern is reported instead.
+    Laplacian route, any size, O(nnz): if the snapped matrix equals its
+    transpose, has off-diagonals <= 0 and every row sums to exactly zero
+    (math.fsum is exact: a sum of floats is a multiple of 2^-1074), it is
+    D - A with A >= 0 symmetric, like every C^T·W·C with W > 0. Then
+    x^T·L·x = 1/2·sum a_ij·(x_i - x_j)^2, so the kernel is the vectors
+    constant on each component, and the component count is returned.
+    Otherwise cols - matrix_rank, which refuses beyond the dense cap.
     """
-    if matrix.rows != matrix.cols:
+    n = matrix.rows
+    if n != matrix.cols:
         raise ShapeMismatchError(f"expected a square matrix, got {matrix.shape}")
-    if matrix.rows <= DENSE_CAP:
-        return matrix.cols - matrix_rank(matrix)
-    return matrix.component_count()
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    values = np.where(np.abs(matrix.values) >= ZERO_TOLERANCE, matrix.values, 0.0)
+    snapped = SparseMatrix.from_coo(n, n, rows, matrix.indices, values)
+    indptr, data = snapped.indptr.tolist(), snapped.values.tolist()
+    if (
+        not np.any(values[rows != matrix.indices] > 0)
+        and snapped.equals(snapped.transpose())
+        and all(math.fsum(data[lo:hi]) == 0.0 for lo, hi in zip(indptr, indptr[1:]))
+    ):
+        return matrix.component_count()
+    return n - matrix_rank(matrix)

@@ -7,7 +7,7 @@ row scans are deterministic and pattern comparisons are well defined.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,7 +17,8 @@ from .errors import ShapeMismatchError, TooLargeForDenseError
 # |x| below this counts as zero in pattern extraction and comparisons
 ZERO_TOLERANCE = 1e-12
 
-# side length cap for dense conversions (inverse reachability, exact rank)
+# side length cap for dense conversions (to_dense, inverse reachability) and
+# for exact rank, whose elimination can fill in to a dense n x n of big ints
 DENSE_CAP = 512
 
 
@@ -119,13 +120,6 @@ class SparseMatrix:
         if k < len(cols) and cols[k] == j:
             return float(vals[k])
         return 0.0
-
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Stored entries in row-major order."""
-        indptr, indices, data = self._m.indptr, self._m.indices, self._m.data
-        for i in range(self.rows):
-            for k in range(indptr[i], indptr[i + 1]):
-                yield i, int(indices[k]), float(data[k])
 
     def diagonal(self) -> np.ndarray:
         return self._m.diagonal()

@@ -7,10 +7,12 @@ for hop counts) so traversal bugs cannot hide in shared machinery.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from magraph import (
+    ZERO_TOLERANCE,
     Aspect,
     AspectList,
     CompanionTuple,
@@ -70,6 +72,11 @@ def closure_oracle(adj: np.ndarray) -> np.ndarray:
         reach = squared
 
 
+def components_oracle(adj: np.ndarray) -> int:
+    """Weakly connected components: distinct rows of the symmetrized closure."""
+    return len({row.tobytes() for row in closure_oracle(adj | adj.T)})
+
+
 def hop_counts_oracle(adj: np.ndarray) -> np.ndarray:
     """All-pairs shortest hop counts via Floyd-Warshall (inf when unreachable)."""
     n = adj.shape[0]
@@ -108,3 +115,29 @@ def degree_oracle(mag, zeta=None, separate_loops=False):
             outdeg[o] += 1
             indeg[d] += 1
     return tuple(indeg), tuple(outdeg), tuple(selfdeg) if separate_loops else None
+
+
+def rank_oracle(matrix) -> int:
+    """Exact rank by dense Gaussian elimination over Fractions (largest pivot).
+
+    Entries below the zero tolerance are snapped to zero, as in matrix_rank;
+    every other float converts to its exact rational value.
+    """
+    a = [
+        [Fraction(x) if abs(x) >= ZERO_TOLERANCE else Fraction(0) for x in row]
+        for row in matrix.to_dense().tolist()
+    ]
+    rows, cols = matrix.rows, matrix.cols
+    rank = 0
+    for c in range(cols):
+        pivot = max(range(rank, rows), key=lambda i: abs(a[i][c]), default=None)
+        if pivot is None or a[pivot][c] == 0:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = 1 / a[rank][c]
+        for i in range(rank + 1, rows):
+            if a[i][c]:
+                factor = a[i][c] * inv
+                a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank

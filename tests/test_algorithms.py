@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from magraph import (
+    CompanionTuple,
+    MagError,
+    MatrixWithTuple,
+    SparseMatrix,
     SubDetermination,
     TooLargeForDenseError,
     UnknownVertexError,
@@ -235,6 +239,36 @@ def test_reachability_long_path_inverse():
     mag = build_mag(aspects, edges, "path")
     jm = adjacency_matrix(mag)
     assert reachability(jm, "inverse").pattern == reachability(jm, "closure").pattern
+
+
+def _jm(n, edges):
+    o, d = zip(*edges)
+    return MatrixWithTuple(SparseMatrix.from_coo(n, n, o, d, np.ones(len(o))), CompanionTuple((n,)))
+
+
+def test_reachability_inverse_with_underflowing_cutoff():
+    """At n=400 with a hub of out-degree 60, rho is about 1/120 and the cutoff
+    0.5·rho^(n-1) underflows to 0.0; the pattern then rests on unreachable
+    entries being exactly zero and reachable ones staying above 2^-1074."""
+    rng = random.Random(11)
+    n = 400
+    edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(n)}
+    edges |= {(0, v) for v in rng.sample(range(1, n), 60)}
+    jm = _jm(n, sorted((o, d) for o, d in edges if o != d))
+    base = reachability(jm, "closure")
+    assert 0.5 * base.rho ** (n - 1) == 0.0
+    assert 0 < base.pattern.nnz < n * n
+    assert reachability(jm, "inverse").pattern == base.pattern
+
+
+def test_reachability_inverse_refuses_lost_pairs():
+    # a hub of out-degree 100 makes rho = 1/200; the far end of a 150-edge
+    # path is then reached with walk weight 200^-150, below 2^-1074
+    n = 251
+    edges = [(0, v) for v in range(1, 101)] + [(v, v + 1) for v in range(100, 250)]
+    jm = _jm(n, edges)
+    with pytest.raises(MagError, match="underflow"):
+        reachability(jm, "inverse")
 
 
 def test_reachability_dense_cap():

@@ -14,6 +14,7 @@ from magraph import (
     ShapeMismatchError,
     SparseMatrix,
     SubDetermination,
+    TooLargeForDenseError,
     WeightCountError,
     adjacency_matrix,
     build_mag,
@@ -432,3 +433,17 @@ def test_nullspace_component_fallback_beyond_cap():
     mag = build_mag(aspects, edges, "path")
     lap = combinatorial_laplacian(incidence_matrix(mag)[0].matrix)
     assert nullspace_dimension(lap) == 1
+
+
+def test_nullspace_refuses_non_laplacian_beyond_cap():
+    # the identity is not a Laplacian; its nullity is 0, not 600 components
+    with pytest.raises(TooLargeForDenseError):
+        nullspace_dimension(SparseMatrix.identity(600))
+    # rows of the normalized Laplacian do not sum to zero, so it takes the
+    # exact route, which is capped
+    n = 600
+    mag = build_mag([("V", [str(i) for i in range(n)])], [], "path")
+    edges = [mag.aspects.edge((str(i),), (str(i + 1),)) for i in range(n - 1)]
+    c = incidence_matrix(build_mag(mag.aspects, edges, "path"))[0].matrix
+    with pytest.raises(TooLargeForDenseError):
+        nullspace_dimension(normalized_laplacian(c))

@@ -2,25 +2,32 @@
 
 Graphs have up to four aspects and up to about 2k composite vertices. Every
 result computed from a graph's index arrays is compared with a loop over its
-MagEdge objects (``mag.edges``) through the scalar indexing functions.
+MagEdge objects (``mag.edges``) through the scalar indexing functions. Exact
+rank and nullity are compared with dense elimination over Fractions
+(``rank_oracle``) and with the component count of the dense closure.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from magraph import (
     Aspect,
     AspectList,
     CompanionTuple,
     MagEdge,
+    SparseMatrix,
     SubDetermination,
+    ZERO_TOLERANCE,
     adjacency_matrix,
     build_mag,
+    combinatorial_laplacian,
     companion_tuple,
     degree,
     incidence_matrix,
+    matrix_rank,
+    nullspace_dimension,
     parse_mag,
     sub_det_degree,
     sub_determine_edge,
@@ -28,21 +35,22 @@ from magraph import (
     trivial_components,
     vertex_from_index,
     vertex_index,
+    weighted_laplacian,
     write_mag,
 )
-from helpers import degree_oracle, dense_adjacency
+from helpers import components_oracle, degree_oracle, dense_adjacency, rank_oracle
 
 MAX_VERTICES = 2048
 WEIGHTS = (0.25, 0.5, 1.5, 2.0, 3.25)
 
 
 @st.composite
-def graphs(draw):
-    """A random graph and its MagEdge list: 1-4 aspects, n <= MAX_VERTICES, up to 3n edges."""
+def graphs(draw, max_vertices=MAX_VERTICES):
+    """A random graph and its MagEdge list: 1-4 aspects, n <= max_vertices, up to 3n edges."""
     p = draw(st.integers(1, 4))
     sizes = []
     for _ in range(p):
-        room = MAX_VERTICES // math.prod(sizes)
+        room = max_vertices // math.prod(sizes)
         sizes.append(draw(st.integers(1, min(room, 40))))
     aspects = AspectList(
         tuple(
@@ -136,3 +144,103 @@ def test_sub_determine_mag_matches_edge_loop(mag):
         sub = sub_determine_mag(mag, zeta)
         assert [e.endpoints() for e in sub.edges] == want
         assert sub.edge_weights == (1.0,) * len(want)
+
+
+# entries k/2^e with k and e spread wide, zeros, and noise below the tolerance
+DYADIC = st.one_of(
+    st.just(0.0),
+    st.builds(lambda k, e: k * 2.0**e, st.integers(-40, 40).filter(bool), st.integers(-30, 20)),
+    st.sampled_from((3e-13, -1e-13, ZERO_TOLERANCE / 2)),
+)
+
+
+@st.composite
+def dyadic_matrices(draw):
+    """Rectangular dyadic matrices with zero rows and columns and dependent rows."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    dense = np.array(
+        [[draw(DYADIC) if draw(st.booleans()) else 0.0 for _ in range(cols)] for _ in range(rows)]
+    ).reshape(rows, cols)
+    for i in range(2, rows):
+        if draw(st.booleans()):
+            # a small dyadic combination of two earlier rows stays exact
+            a, b = draw(st.sampled_from((1.0, -0.5, 3.0))), draw(st.sampled_from((0.0, 2.0, -0.25)))
+            dense[i] = a * dense[i - 1] + b * dense[i - 2]
+    dense[draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), :] = 0.0
+    if cols and draw(st.booleans()):
+        dense[:, draw(st.integers(0, cols - 1))] = 0.0
+    return SparseMatrix.from_coo(rows, cols, *np.nonzero(dense), dense[np.nonzero(dense)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_matrices())
+def test_matrix_rank_matches_fraction_oracle(matrix):
+    assert matrix_rank(matrix) == rank_oracle(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_matrices(), st.sampled_from(("any", "nonpositive", "unit")), st.booleans())
+# connected, nullity 2: a directed star, and a signed graph with one positive entry
+@example(SparseMatrix.from_dense([[0.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3]), "nonpositive", False)
+@example(
+    SparseMatrix.from_dense([[0, -1, -1, -1], [-1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]]),
+    "any",
+    False,
+)
+def test_nullity_matches_fraction_oracle_on_zero_row_sums(matrix, signs, symmetric):
+    """Square matrices with zero row sums. Only the symmetric ones with
+    off-diagonals <= 0 are Laplacians; the others (signed, unit-entry and
+    directed ones, whose nullity can differ from their component count) must
+    take the exact route."""
+    n = min(matrix.shape)
+    off = matrix.to_dense()[:n, :n].reshape(n, n)
+    if symmetric:
+        off = off + off.T
+    if signs == "nonpositive":
+        off = -np.abs(off)
+    elif signs == "unit":
+        off = np.sign(off)
+    np.fill_diagonal(off, 0.0)
+    np.fill_diagonal(off, -off.sum(axis=1))
+    square = SparseMatrix.from_dense(off)
+    assert nullspace_dimension(square) == n - rank_oracle(square)
+
+
+def _laplacians(mag):
+    c = incidence_matrix(mag)[0].matrix
+    return combinatorial_laplacian(c), weighted_laplacian(c, mag.edge_weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=40))
+def test_laplacian_nullity_is_component_count(case):
+    mag, _ = case
+    components = components_oracle(dense_adjacency(mag))
+    for lap in _laplacians(mag):
+        assert nullspace_dimension(lap) == components == lap.cols - rank_oracle(lap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=40), st.data())
+def test_near_laplacian_takes_exact_route(case, data):
+    """A diagonal entry one ulp up makes the matrix positive definite on that
+    vertex's component, so the exact route must find one null vector fewer."""
+    mag, _ = case
+    components = components_oracle(dense_adjacency(mag))
+    for lap in _laplacians(mag):
+        dense = lap.to_dense()
+        touched = np.flatnonzero(np.diag(dense))
+        assume(len(touched))
+        i = data.draw(st.sampled_from(touched.tolist()))
+        dense[i, i] = np.nextafter(dense[i, i], np.inf)
+        near = SparseMatrix.from_dense(dense)
+        assert nullspace_dimension(near) == near.cols - rank_oracle(near) == components - 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(graphs(max_vertices=300))
+def test_laplacian_route_matches_exact_rank_at_scale(case):
+    mag, _ = case
+    components = components_oracle(dense_adjacency(mag))
+    for lap in _laplacians(mag):
+        assert nullspace_dimension(lap) == components == lap.cols - matrix_rank(lap)

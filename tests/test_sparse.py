@@ -108,11 +108,6 @@ def test_row_access():
     assert list(m.row(0)[0]) == []
 
 
-def test_entries_row_major():
-    m = SparseMatrix.from_entries(2, 2, [(1, 0, 3.0), (0, 1, 1.0)])
-    assert list(m.entries()) == [(0, 1, 1.0), (1, 0, 3.0)]
-
-
 def test_dense_cap():
     big = SparseMatrix.zeros(600, 600)
     with pytest.raises(TooLargeForDenseError):
