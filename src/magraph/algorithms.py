@@ -6,6 +6,10 @@ down, so aggregation cannot invent paths that the original graph lacks; a
 search on the aggregated graph itself would (the matrix identity M·B·M^T vs
 the closure of M·J·M^T exhibits the difference).
 
+A MAG is isomorphic to the directed graph on its composite vertices, so
+every breadth-first walk (bfs, bfs_sub, dfs_sub's gate, the closure) is one
+SparseMatrix.breadth_first_order, scipy's csgraph BFS on the CSR pattern.
+
 Iteration-order contract: successors are visited in ascending vertex index
 (CSR row order), and outer loops run over ascending indices. Results are
 1-based; unreached distances are math.inf and absent predecessors are None.
@@ -14,7 +18,6 @@ Iteration-order contract: successors are visited in ascending vertex index
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +32,6 @@ from .core import (
     composite_vertex_count,
     sub_companion_tuple,
     subdet_image,
-    vertex_from_index,
     vertex_index,
 )
 from .errors import (
@@ -41,8 +43,6 @@ from .errors import (
 )
 from .matrices import MatrixWithTuple, sub_determination_matrix, sub_determined_adjacency
 from .sparse import DENSE_CAP, ZERO_TOLERANCE, SparseMatrix
-
-WHITE, GRAY, BLACK = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -175,36 +175,48 @@ def _source_index(source: CompositeVertex | Sequence[int], tau: CompanionTuple) 
         raise UnknownVertexError(str(exc)) from None
 
 
-def _successors(matrix: SparseMatrix, u: int):
-    """0-based successor indices of 0-based u, ascending."""
-    return matrix.row(u)[0]
+def _projected_bfs(
+    graph: SparseMatrix, start: int, image: np.ndarray, size: int, tau: CompanionTuple
+) -> BfsResult:
+    """One BFS on graph from start, recorded per image vertex on first touch.
+
+    image maps graph's vertices onto size result vertices. A result vertex's
+    predecessor is the image of the BFS parent of its first preimage touched;
+    distances take one pass over that order. O(size + rows + nnz).
+    """
+    order, parent = graph.breadth_first_order(start)
+    images = image[order]
+    first = np.sort(np.unique(images, return_index=True)[1])
+    found = images[first]
+    distance = [math.inf] * size
+    pred: list[int | None] = [None] * size
+    distance[found[0]] = 0
+    for v, u in zip(found[1:].tolist(), image[parent[order[first[1:]]]].tolist()):
+        distance[v] = distance[u] + 1
+        pred[v] = u + 1
+    return BfsResult(tuple((found + 1).tolist()), tuple(distance), tuple(pred), tau)
 
 
 def bfs(jm: MatrixWithTuple, source: CompositeVertex | Sequence[int]) -> BfsResult:
-    """Queue BFS over the adjacency structure from one composite vertex; O(n+|E|)."""
+    """FIFO-queue BFS from one composite vertex (identity image); O(n+|E|)."""
     tau = jm.tau
     n = composite_vertex_count(tau)
-    src = _source_index(source, tau) - 1
-    distance = [math.inf] * n
-    pred: list[int | None] = [None] * n
-    color = [WHITE] * n
-    order = [src + 1]
-    distance[src] = 0
-    color[src] = GRAY
-    queue = deque([src])
-    while queue:
-        u = queue[0]
-        for v in _successors(jm.matrix, u):
-            v = int(v)
-            if color[v] == WHITE:
-                color[v] = GRAY
-                order.append(v + 1)
-                distance[v] = distance[u] + 1
-                pred[v] = u + 1
-                queue.append(v)
-        queue.popleft()
-        color[u] = BLACK
-    return BfsResult(tuple(order), tuple(distance), tuple(pred), tau)
+    return _projected_bfs(jm.matrix, _source_index(source, tau) - 1, np.arange(n), n, tau)
+
+
+def _with_virtual_sources(
+    matrix: SparseMatrix, image: np.ndarray, size: int
+) -> tuple[SparseMatrix, np.ndarray]:
+    """J's pattern plus a virtual source row n + s per sub-determined vertex s.
+
+    Row n + s points at s's preimage, so a BFS from it dequeues that preimage
+    first, in ascending order. Returns the graph and the image of its rows.
+    """
+    n = matrix.rows
+    rows = np.concatenate([matrix.entry_rows, n + image])
+    cols = np.concatenate([matrix.indices, np.arange(n)])
+    graph = SparseMatrix.from_coo(n + size, n + size, rows, cols, np.ones(len(rows)))
+    return graph, np.concatenate([image, np.arange(size)])
 
 
 def bfs_sub(
@@ -214,7 +226,8 @@ def bfs_sub(
 ) -> BfsResult:
     """BFS seeded with every composite vertex that collapses onto the source.
 
-    The walk itself runs on the full graph; discoveries are recorded per
+    The walk itself runs on the full graph, from a virtual source whose
+    successors are the source's preimage; discoveries are recorded per
     sub-determined vertex on first touch, so only paths that exist in the
     original graph can reach a sub-determined vertex. The source is given
     over the kept aspects only. O(n+|E|).
@@ -222,40 +235,10 @@ def bfs_sub(
     tau = jm.tau
     zeta.require_valid(tau.order)
     tz = sub_companion_tuple(tau, zeta)
-    n = composite_vertex_count(tau)
     ns = composite_vertex_count(tz)
     src = _source_index(source, tz.restricted()) - 1
-
-    image_array = subdet_image(tau, zeta)
-    image = image_array.tolist()
-
-    distance = [math.inf] * ns
-    pred: list[int | None] = [None] * ns
-    color_sub = [WHITE] * ns
-    order = [src + 1]
-    distance[src] = 0
-    color_sub[src] = GRAY
-
-    color = [WHITE] * n
-    queue = deque(np.flatnonzero(image_array == src).tolist())
-    for j in queue:
-        color[j] = GRAY
-    while queue:
-        u = queue[0]
-        for v in _successors(jm.matrix, u):
-            v = int(v)
-            if color[v] == WHITE:
-                color[v] = GRAY
-                queue.append(v)
-                vs = image[v]
-                if color_sub[vs] == WHITE:
-                    color_sub[vs] = GRAY
-                    order.append(vs + 1)
-                    distance[vs] = distance[image[u]] + 1
-                    pred[vs] = image[u] + 1
-        queue.popleft()
-        color[u] = BLACK
-    return BfsResult(tuple(order), tuple(distance), tuple(pred), tz)
+    graph, image = _with_virtual_sources(jm.matrix, subdet_image(tau, zeta), ns)
+    return _projected_bfs(graph, jm.matrix.rows + src, image, ns, tz)
 
 
 # ---------------------------------------------------------------------------
@@ -270,32 +253,28 @@ def _spectral_bound(matrix: SparseMatrix) -> float:
     return 1.0 / (2.0 * max(1.0, float(row_sums.max())))
 
 
+def _square_size(matrix: SparseMatrix) -> int:
+    if matrix.rows != matrix.cols:
+        raise ShapeMismatchError(f"adjacency must be square, got {matrix.shape}")
+    return matrix.rows
+
+
 def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
-    """Reflexive-transitive closure pattern by BFS from every vertex."""
-    n = matrix.rows
-    entries = []
-    for s in range(n):
-        seen = [False] * n
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in matrix.row(u)[0]:
-                v = int(v)
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        entries.extend((s, v, 1.0) for v in range(n) if seen[v])
-    return SparseMatrix.from_entries(n, n, entries)
+    """Reflexive-transitive closure pattern of a square matrix; one BFS per row, O(n·(n+nnz))."""
+    n = _square_size(matrix)
+    reached = [matrix.breadth_first_order(s)[0] for s in range(n)]
+    rows = np.repeat(np.arange(n), [len(r) for r in reached])
+    cols = np.concatenate([np.empty(0, np.int64), *reached])
+    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
 
 
 def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMatrix:
     """0/1 reachability pattern: entry (u,v) nonzero iff v is reachable from u.
 
-    method="closure" (default, exact at any size) runs BFS per vertex;
-    "series" iterates the scaled Neumann sum I + (rho·J) + (rho·J)^2 + ...
-    to its pattern fixpoint, re-binarizing each iterate (values are
-    irrelevant, only the pattern is kept); "inverse" densely inverts
+    method="closure" (default, exact at any size) is transitive_closure_pattern,
+    one BFS per vertex; "series" iterates the scaled Neumann sum
+    I + (rho·J) + (rho·J)^2 + ... to its pattern fixpoint, re-binarizing each
+    iterate (values are irrelevant, only the pattern is kept); "inverse" densely inverts
     I - rho·J (only within the dense cap) and keeps the entries above
     0.5·rho^(n-1). All methods produce the same pattern, or "inverse" raises.
 
@@ -308,9 +287,7 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     the pattern is checked to be closed under J; MagError if it is not.
     """
     matrix = jm.matrix
-    if matrix.rows != matrix.cols:
-        raise ShapeMismatchError(f"adjacency must be square, got {matrix.shape}")
-    n = matrix.rows
+    n = _square_size(matrix)
     rho = _spectral_bound(matrix)
     if method == "closure":
         pattern = transitive_closure_pattern(matrix)
@@ -343,72 +320,65 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
 # DFS
 
 
-def _dfs_forest(matrix: SparseMatrix, may_enter) -> DfsResult:
+def _dfs_forest(matrix: SparseMatrix, may_enter, tau: CompanionTuple) -> DfsResult:
     """Shared DFS skeleton: ascending roots, ascending successors.
 
-    may_enter(root, v) gates tree membership; the explicit stack reproduces
-    the recursive visit's timestamps exactly.
+    may_enter(root) returns the gate v -> bool on tree membership; the
+    explicit stack reproduces the recursive visit's timestamps exactly, and
+    a vertex is unvisited while its discovery time is -1.
     """
     n = matrix.rows
     disc = [-1] * n
     fin = [-1] * n
     pred: list[int | None] = [None] * n
-    color = [WHITE] * n
     time = 0
     for root in range(n):
-        if color[root] != WHITE:
+        if disc[root] >= 0:
             continue
         gate = may_enter(root)
-        color[root] = GRAY
         disc[root] = time
         time += 1
         stack = [(root, iter(matrix.row(root)[0]))]
         while stack:
             u, it = stack[-1]
-            entered = False
             for v in it:
                 v = int(v)
-                if color[v] == WHITE and gate(v):
+                if disc[v] < 0 and gate(v):
                     pred[v] = u + 1
-                    color[v] = GRAY
                     disc[v] = time
                     time += 1
                     stack.append((v, iter(matrix.row(v)[0])))
-                    entered = True
                     break
-            if not entered:
+            else:
                 stack.pop()
-                color[u] = BLACK
                 fin[u] = time
                 time += 1
-    return DfsResult(tuple(disc), tuple(fin), tuple(pred), CompanionTuple((n,)))
+    return DfsResult(tuple(disc), tuple(fin), tuple(pred), tau)
 
 
 def dfs(jm: MatrixWithTuple) -> DfsResult:
     """Full-graph DFS over composite vertices; O(n+|E|)."""
-    result = _dfs_forest(jm.matrix, lambda root: lambda v: True)
-    return DfsResult(result.disc_time, result.fin_time, result.pred, jm.tau)
+    return _dfs_forest(jm.matrix, lambda root: lambda v: True, jm.tau)
 
 
 def dfs_sub(jm: MatrixWithTuple, zeta: SubDetermination) -> DfsResult:
     """DFS over the aggregated adjacency, gated by full-graph reachability.
 
-    A successor joins a tree only if the sub-determined BFS from the tree's
-    root (run on the full graph) reaches it, which keeps aggregation-only
-    paths out of the forest. That is one full bfs_sub per tree root, so r
-    trees cost O(r·(n+|E|)): quadratic when r grows with n.
+    A successor joins a tree only if a full-graph BFS from the tree root's
+    preimage reaches it, which keeps aggregation-only paths out of the
+    forest. bfs_sub's virtual-source graph is built once, but each of r trees
+    runs one BFS, so r trees cost O(r·(n+|E|)): quadratic when r grows with n.
     """
     tau = jm.tau
     zeta.require_valid(tau.order)
     tz = sub_companion_tuple(tau, zeta)
-    restricted = tz.restricted()
-    agg = sub_determination_matrix(tau, zeta)
-    aggregated = sub_determined_adjacency(jm.matrix, agg)
+    ns = composite_vertex_count(tz)
+    graph, image = _with_virtual_sources(jm.matrix, subdet_image(tau, zeta), ns)
+    aggregated = sub_determined_adjacency(jm.matrix, sub_determination_matrix(tau, zeta))
 
     def may_enter(root: int):
-        source = vertex_from_index(root + 1, restricted)
-        reachable = set(bfs_sub(jm, zeta, source).vertices)
-        return lambda v: (v + 1) in reachable
+        reached = np.zeros(ns, dtype=bool)
+        reached[image[graph.breadth_first_order(jm.matrix.rows + root)[0]]] = True
+        return reached.tolist().__getitem__
 
-    result = _dfs_forest(aggregated, may_enter)
-    return DfsResult(result.disc_time, result.fin_time, result.pred, tz)
+    return _dfs_forest(aggregated, may_enter, tz)

@@ -241,7 +241,7 @@ _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 def export_matrix_market(matrix: SparseMatrix, destination) -> None:
     """Write coordinate-format Matrix Market: 1-based, row-major, 17 digits."""
-    rows = np.repeat(np.arange(1, matrix.rows + 1), np.diff(matrix.indptr))
+    rows = matrix.entry_rows + 1
     distinct, which = np.unique(matrix.values, return_inverse=True)
     values = [f"{v:.17g}" for v in distinct.tolist()]  # each distinct value once
     lines = [_MM_HEADER, f"{matrix.rows} {matrix.cols} {matrix.nnz}"]

@@ -83,7 +83,7 @@ def mag_from_adjacency(jm: MatrixWithTuple, name: str = "mag") -> Mag:
             for k, s in enumerate(tau.sizes)
         )
     )
-    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    rows = m.entry_rows
     cols = m.indices
     bad = (m.values != 1.0) | (rows == cols)
     if bad.any():
@@ -281,7 +281,7 @@ def nullspace_dimension(matrix: SparseMatrix) -> int:
     n = matrix.rows
     if n != matrix.cols:
         raise ShapeMismatchError(f"expected a square matrix, got {matrix.shape}")
-    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    rows = matrix.entry_rows
     values = np.where(np.abs(matrix.values) >= ZERO_TOLERANCE, matrix.values, 0.0)
     snapped = SparseMatrix.from_coo(n, n, rows, matrix.indices, values)
     indptr, data = snapped.indptr.tolist(), snapped.values.tolist()

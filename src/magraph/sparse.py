@@ -109,6 +109,11 @@ class SparseMatrix:
     def values(self) -> np.ndarray:
         return self._m.data
 
+    @property
+    def entry_rows(self) -> np.ndarray:
+        """Row index of each stored entry, parallel to indices and values."""
+        return np.repeat(np.arange(self.rows), np.diff(self._m.indptr))
+
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(column indices, values) of row i; columns are strictly increasing."""
         lo, hi = self._m.indptr[i], self._m.indptr[i + 1]
@@ -163,9 +168,19 @@ class SparseMatrix:
 
     def component_count(self) -> int:
         """Connected components of the symmetrized nonzero pattern."""
-        from scipy.sparse import csgraph  # slow to import; only this needs it
+        from scipy.sparse import csgraph  # slow to import; only traversals need it
 
         return int(csgraph.connected_components(self.pattern()._m, connection="weak")[0])
+
+    def breadth_first_order(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """(order, parent) of a FIFO BFS over the stored entries from 0-based start.
+
+        Rows are scanned in ascending column order; parent is negative for
+        start and unreached vertices. Square matrices only. O(n + nnz).
+        """
+        from scipy.sparse import csgraph  # slow to import; only traversals need it
+
+        return csgraph.breadth_first_order(self._m, start, directed=True, return_predecessors=True)
 
     def to_dense(self) -> np.ndarray:
         if max(self.rows, self.cols) > DENSE_CAP:

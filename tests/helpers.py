@@ -141,3 +141,23 @@ def rank_oracle(matrix) -> int:
                 a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def check_dfs_structure(result, n):
+    """Timestamps 0..2n-1, each tree edge nests its child, intervals nest or are disjoint."""
+    stamps = sorted(result.disc_time + result.fin_time)
+    assert stamps == list(range(2 * n))
+    for v in range(n):
+        assert result.disc_time[v] < result.fin_time[v]
+        p = result.pred[v]
+        if p is not None:
+            # tree edges nest child intervals inside the parent's
+            assert result.disc_time[p - 1] < result.disc_time[v]
+            assert result.fin_time[v] < result.fin_time[p - 1]
+    for u in range(n):
+        for v in range(u + 1, n):
+            du, fu = result.disc_time[u], result.fin_time[u]
+            dv, fv = result.disc_time[v], result.fin_time[v]
+            nested = (du < dv and fv < fu) or (dv < du and fu < fv)
+            disjoint = fu < dv or fv < du
+            assert nested or disjoint

@@ -10,6 +10,7 @@ from magraph import (
     CompanionTuple,
     MagError,
     MatrixWithTuple,
+    ShapeMismatchError,
     SparseMatrix,
     SubDetermination,
     TooLargeForDenseError,
@@ -33,7 +34,13 @@ from magraph import (
     vertex_from_index,
 )
 import expected_builtin as ref
-from helpers import closure_oracle, dense_adjacency, hop_counts_oracle, random_mag
+from helpers import (
+    check_dfs_structure,
+    closure_oracle,
+    dense_adjacency,
+    hop_counts_oracle,
+    random_mag,
+)
 
 INF = math.inf
 
@@ -279,6 +286,18 @@ def test_reachability_dense_cap():
     assert reachability(jm, "closure").pattern.nnz == 600
 
 
+# 2x3 with column 3 empty used to come back as a 2x2 pattern; 2x4 with an
+# entry in column 4 used to raise a bare IndexError
+@pytest.mark.parametrize("cols, last", [(3, 0), (4, 3)])
+def test_closure_rejects_non_square(cols, last):
+    matrix = SparseMatrix.from_coo(2, cols, [0, 1], [1, last], [1.0, 1.0])
+    with pytest.raises(ShapeMismatchError):
+        transitive_closure_pattern(matrix)
+    for method in ("closure", "series", "inverse"):
+        with pytest.raises(ShapeMismatchError):
+            reachability(MatrixWithTuple(matrix, CompanionTuple((2,))), method)
+
+
 def test_reachability_rho(mag_t):
     res = reachability(adjacency_matrix(mag_t))
     # max out-degree of T is 3
@@ -393,32 +412,13 @@ def test_dfs_edgeless():
     assert result.pred == (None,) * 4
 
 
-def _check_dfs_structure(result, n):
-    stamps = sorted(result.disc_time + result.fin_time)
-    assert stamps == list(range(2 * n))
-    for v in range(n):
-        assert result.disc_time[v] < result.fin_time[v]
-        p = result.pred[v]
-        if p is not None:
-            # tree edges nest child intervals inside the parent's
-            assert result.disc_time[p - 1] < result.disc_time[v]
-            assert result.fin_time[v] < result.fin_time[p - 1]
-    for u in range(n):
-        for v in range(u + 1, n):
-            du, fu = result.disc_time[u], result.fin_time[u]
-            dv, fv = result.disc_time[v], result.fin_time[v]
-            nested = (du < dv and fv < fu) or (dv < du and fu < fv)
-            disjoint = fu < dv or fv < du
-            assert nested or disjoint
-
-
 def test_dfs_properties_random():
     rng = random.Random(73)
     for _ in range(20):
         mag = random_mag(rng)
         jm = adjacency_matrix(mag)
         n = composite_vertex_count(jm.tau)
-        _check_dfs_structure(dfs(jm), n)
+        check_dfs_structure(dfs(jm), n)
 
 
 def _reachable_within(adj, start, allowed):
@@ -480,4 +480,4 @@ def test_dfs_sub_properties_random():
         from magraph import sub_companion_tuple
 
         m = composite_vertex_count(sub_companion_tuple(jm.tau, z))
-        _check_dfs_structure(dfs_sub(jm, z), m)
+        check_dfs_structure(dfs_sub(jm, z), m)

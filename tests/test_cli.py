@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from magraph import (
     save_mag,
     sub_determine_mag,
 )
+import magraph
 from magraph.cli import main
 import expected_builtin as ref
 
@@ -375,3 +380,23 @@ def test_commands_never_build_edge_objects(argv, capsys, tmp_path, monkeypatch):
     assert (code, err) == (0, "")
     assert len(loaded) == 1
     assert "edges" not in loaded[0].__dict__
+
+
+def test_validate_leaves_csgraph_unimported():
+    """scipy.sparse.csgraph takes about 0.15 s to import (mostly
+    scipy.sparse.linalg); only traversals and component counts may pay it."""
+    code = (
+        "import sys\n"
+        "import magraph\n"
+        "loaded = 'scipy.sparse.csgraph' in sys.modules\n"
+        "import magraph.cli\n"
+        "code = magraph.cli.main(['validate', 'builtin:T'])\n"
+        "print(code, loaded, 'scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    path = [str(Path(magraph.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["ok: T", "0 False False"]

@@ -4,7 +4,9 @@ Graphs have up to four aspects and up to about 2k composite vertices. Every
 result computed from a graph's index arrays is compared with a loop over its
 MagEdge objects (``mag.edges``) through the scalar indexing functions. Exact
 rank and nullity are compared with dense elimination over Fractions
-(``rank_oracle``) and with the component count of the dense closure.
+(``rank_oracle``) and with the component count of the dense closure. BFS
+order is checked against its contract from the edge arrays alone, and the
+traversals (n <= 300) against the dense closure (``closure_oracle``).
 """
 
 import math
@@ -21,24 +23,37 @@ from magraph import (
     SubDetermination,
     ZERO_TOLERANCE,
     adjacency_matrix,
+    bfs,
+    bfs_sub,
     build_mag,
     combinatorial_laplacian,
     companion_tuple,
     degree,
+    dfs_sub,
     incidence_matrix,
     matrix_rank,
     nullspace_dimension,
     parse_mag,
+    reachability,
+    sub_companion_tuple,
     sub_det_degree,
     sub_determine_edge,
     sub_determine_mag,
+    sub_determination_matrix,
     trivial_components,
     vertex_from_index,
     vertex_index,
     weighted_laplacian,
     write_mag,
 )
-from helpers import components_oracle, degree_oracle, dense_adjacency, rank_oracle
+from helpers import (
+    check_dfs_structure,
+    closure_oracle,
+    components_oracle,
+    degree_oracle,
+    dense_adjacency,
+    rank_oracle,
+)
 
 MAX_VERTICES = 2048
 WEIGHTS = (0.25, 0.5, 1.5, 2.0, 3.25)
@@ -144,6 +159,73 @@ def test_sub_determine_mag_matches_edge_loop(mag):
         sub = sub_determine_mag(mag, zeta)
         assert [e.endpoints() for e in sub.edges] == want
         assert sub.edge_weights == (1.0,) * len(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mags, st.data())
+def test_bfs_order_contract(mag, data):
+    """A FIFO queue that scans successors in ascending index: checked from the
+    edge arrays, with no second BFS to compare against."""
+    n = mag.vertex_count
+    jm = adjacency_matrix(mag)
+    src = data.draw(st.integers(1, n))
+    result = bfs(jm, vertex_from_index(src, jm.tau))
+    vertices, distance, pred = result.vertices, result.distance, result.pred
+    assert vertices[0] == src and distance[src - 1] == 0 and pred[src - 1] is None
+    assert len(set(vertices)) == len(vertices)
+    position = np.full(n, n)  # unreached vertices sort after every reached one
+    position[np.array(vertices) - 1] = np.arange(len(vertices))
+    o, d = mag.origin, mag.destination
+    assert np.all(position[d[position[o] < n]] < n)  # closed under successors
+    first_in = np.full(n, n)
+    np.minimum.at(first_in, d, position[o])
+    for v in range(1, n + 1):
+        if v == src:
+            continue
+        if position[v - 1] == n:
+            assert math.isinf(distance[v - 1]) and pred[v - 1] is None
+            continue
+        p = pred[v - 1]
+        assert position[p - 1] == first_in[v - 1]
+        assert distance[v - 1] == distance[p - 1] + 1
+    keys = [(position[pred[v - 1] - 1], v) for v in vertices[1:]]
+    assert keys == sorted(keys)
+
+
+@settings(max_examples=20, deadline=None)
+@given(graphs(max_vertices=300), st.data())
+def test_traversals_match_dense_closure(case, data):
+    """Closure, bfs_sub and dfs_sub against closure_oracle; bfs_sub sees the
+    source's row of agg·closure·agg^T, and every dfs_sub tree edge is an
+    aggregated edge that full-graph paths from its tree's root reach."""
+    mag, _ = case
+    adj = dense_adjacency(mag)
+    reach = closure_oracle(adj)
+    jm = adjacency_matrix(mag)
+    assert np.array_equal(reachability(jm, "closure").pattern.to_dense() > 0, reach)
+    for zeta in _zetas(mag):
+        agg = sub_determination_matrix(jm.tau, zeta).to_dense().astype(int)
+        projected = agg @ reach @ agg.T > 0
+        aggregated = agg @ adj @ agg.T > 0
+        ns = agg.shape[0]
+        restricted = sub_companion_tuple(jm.tau, zeta).restricted()
+        for s in data.draw(st.lists(st.integers(1, ns), min_size=1, max_size=3)):
+            result = bfs_sub(jm, zeta, vertex_from_index(s, restricted))
+            assert sorted(result.vertices) == (np.flatnonzero(projected[s - 1]) + 1).tolist()
+
+        forest = dfs_sub(jm, zeta)
+        check_dfs_structure(forest, ns)
+        disc, fin, pred = forest.disc_time, forest.fin_time, forest.pred
+        root = list(range(ns))
+        for v in sorted(range(ns), key=disc.__getitem__):
+            if pred[v] is not None:
+                assert aggregated[pred[v] - 1, v]
+                root[v] = root[pred[v] - 1]
+                assert projected[root[v], v]
+        # a successor the gate admits is entered before its predecessor finishes
+        for u, v in zip(*np.nonzero(aggregated)):
+            if projected[root[u], v]:
+                assert disc[v] < fin[u]
 
 
 # entries k/2^e with k and e spread wide, zeros, and noise below the tolerance
