@@ -42,7 +42,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .matrices import MatrixWithTuple, sub_determination_matrix, sub_determined_adjacency
-from .sparse import DENSE_CAP, ZERO_TOLERANCE, SparseMatrix
+from .sparse import DENSE_CAP, SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -87,29 +87,30 @@ class ReachabilityMatrix:
 # degree
 
 
+def _int_tuple(counts: np.ndarray) -> tuple[int, ...]:
+    """Integer-valued counts (bincounts or float products) as a tuple of ints."""
+    return tuple(np.rint(counts).astype(np.int64).tolist())
+
+
+def _image_degree(
+    mag: Mag, image: np.ndarray, size: int, tau: CompanionTuple, separate_loops: bool
+) -> DegreeResult:
+    """Degrees of the size image vertices, counted from the edge arrays; O(n + |E|)."""
+    o, d = image[mag.origin], image[mag.destination]
+    selfdeg = None
+    if separate_loops:
+        loop = o == d
+        selfdeg = _int_tuple(np.bincount(o[loop], minlength=size))
+        o, d = o[~loop], d[~loop]
+    indeg, outdeg = np.bincount(d, minlength=size), np.bincount(o, minlength=size)
+    return DegreeResult(_int_tuple(indeg), _int_tuple(outdeg), selfdeg, tau)
+
+
 def degree(mag: Mag) -> DegreeResult:
-    """In/out degree of every composite vertex, counted from the edge arrays; O(n + |E|)."""
+    """In/out degree of every composite vertex (identity image); O(n + |E|)."""
     tau = companion_tuple(mag)
     n = composite_vertex_count(tau)
-    return DegreeResult(
-        tuple(np.bincount(mag.destination, minlength=n).tolist()),
-        tuple(np.bincount(mag.origin, minlength=n).tolist()),
-        None,
-        tau,
-    )
-
-
-def degree_from_adjacency(jm: MatrixWithTuple) -> DegreeResult:
-    """Algebraic route: outdegree = J·1, indegree = J^T·1."""
-    ones = np.ones(jm.matrix.cols)
-    outdeg = jm.matrix.matvec(ones)
-    indeg = jm.matrix.transpose().matvec(ones)
-    return DegreeResult(
-        tuple(int(round(x)) for x in indeg),
-        tuple(int(round(x)) for x in outdeg),
-        None,
-        jm.tau,
-    )
+    return _image_degree(mag, np.arange(n), n, tau, False)
 
 
 def sub_det_degree(
@@ -124,44 +125,35 @@ def sub_det_degree(
     tau = companion_tuple(mag)
     image = subdet_image(tau, zeta)
     tz = sub_companion_tuple(tau, zeta)
-    n = composite_vertex_count(tz)
-    o, d = image[mag.origin], image[mag.destination]
-    selfdeg = None
-    if separate_loops:
-        loop = o == d
-        selfdeg = tuple(np.bincount(o[loop], minlength=n).tolist())
-        o, d = o[~loop], d[~loop]
+    return _image_degree(mag, image, composite_vertex_count(tz), tz, separate_loops)
+
+
+def _aggregated_degree(
+    jm: MatrixWithTuple, agg: SparseMatrix, tau: CompanionTuple, separate_loops: bool
+) -> DegreeResult:
+    """Algebraic route: M·J^T·1 and M·J·1; selfdegree is the diagonal of M·J·M^T."""
+    ones = np.ones(jm.matrix.cols)
+    indeg = agg.matvec(jm.matrix.transpose().matvec(ones))
+    outdeg = agg.matvec(jm.matrix.matvec(ones))
+    if not separate_loops:
+        return DegreeResult(_int_tuple(indeg), _int_tuple(outdeg), None, tau)
+    selfdeg = sub_determined_adjacency(jm.matrix, agg).diagonal()
     return DegreeResult(
-        tuple(np.bincount(d, minlength=n).tolist()),
-        tuple(np.bincount(o, minlength=n).tolist()),
-        selfdeg,
-        tz,
+        _int_tuple(indeg - selfdeg), _int_tuple(outdeg - selfdeg), _int_tuple(selfdeg), tau
     )
+
+
+def degree_from_adjacency(jm: MatrixWithTuple) -> DegreeResult:
+    """Algebraic route with the identity aggregation: J^T·1 and J·1."""
+    return _aggregated_degree(jm, SparseMatrix.identity(jm.matrix.rows), jm.tau, False)
 
 
 def sub_det_degree_from_adjacency(
     jm: MatrixWithTuple, zeta: SubDetermination, separate_loops: bool = False
 ) -> DegreeResult:
-    """Algebraic route: M·J^T·1 and M·J·1; selfdegree is the diagonal of M·J·M^T."""
+    """Algebraic route through the aggregation matrix M of zeta."""
     agg = sub_determination_matrix(jm.tau, zeta)
-    ones = np.ones(jm.matrix.cols)
-    indeg = agg.matvec(jm.matrix.transpose().matvec(ones))
-    outdeg = agg.matvec(jm.matrix.matvec(ones))
-    tz = sub_companion_tuple(jm.tau, zeta)
-    if not separate_loops:
-        return DegreeResult(
-            tuple(int(round(x)) for x in indeg),
-            tuple(int(round(x)) for x in outdeg),
-            None,
-            tz,
-        )
-    selfdeg = sub_determined_adjacency(jm.matrix, agg).diagonal()
-    return DegreeResult(
-        tuple(int(round(x)) for x in indeg - selfdeg),
-        tuple(int(round(x)) for x in outdeg - selfdeg),
-        tuple(int(round(x)) for x in selfdeg),
-        tz,
-    )
+    return _aggregated_degree(jm, agg, sub_companion_tuple(jm.tau, zeta), separate_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +263,13 @@ def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
 def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMatrix:
     """0/1 reachability pattern: entry (u,v) nonzero iff v is reachable from u.
 
-    method="closure" (default, exact at any size) is transitive_closure_pattern,
-    one BFS per vertex; "series" iterates the scaled Neumann sum
-    I + (rho·J) + (rho·J)^2 + ... to its pattern fixpoint, re-binarizing each
-    iterate (values are irrelevant, only the pattern is kept); "inverse" densely inverts
-    I - rho·J (only within the dense cap) and keeps the entries above
-    0.5·rho^(n-1). All methods produce the same pattern, or "inverse" raises.
+    Every method works on the 0/1 pattern J of jm.matrix (entries with
+    |x| >= ZERO_TOLERANCE), and rho is taken from J too. method="closure"
+    (default, exact at any size) is transitive_closure_pattern, one BFS per
+    vertex; "series" iterates the pattern of I + J + J^2 + ... to its
+    fixpoint (rho plays no part); "inverse" densely inverts I - rho·J (only
+    within the dense cap) and keeps the entries above 0.5·rho^(n-1). All
+    methods produce the same pattern, or "inverse" raises.
 
     The cutoff rests on this: the transpose of I - rho·J is an M-matrix
     with column sums >= 1/2, so LU with partial pivoting makes no row
@@ -286,28 +279,26 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     n in the hundreds), a reachable entry below 2^-1074 rounds to 0.0, so
     the pattern is checked to be closed under J; MagError if it is not.
     """
-    matrix = jm.matrix
-    n = _square_size(matrix)
-    rho = _spectral_bound(matrix)
+    n = _square_size(jm.matrix)
+    edges = jm.matrix.pattern()
+    rho = _spectral_bound(edges)
     if method == "closure":
-        pattern = transitive_closure_pattern(matrix)
+        pattern = transitive_closure_pattern(edges)
     elif method == "series":
-        scaled = matrix.scale(rho).pattern(ZERO_TOLERANCE)
-        acc = SparseMatrix.identity(n)
+        pattern = SparseMatrix.identity(n)
         for _ in range(n):
-            grown = (acc + (acc @ scaled)).pattern(ZERO_TOLERANCE)
-            if grown.nnz == acc.nnz:
+            grown = (pattern + pattern @ edges).pattern()
+            if grown.nnz == pattern.nnz:
                 break
-            acc = grown
-        pattern = acc
+            pattern = grown
     elif method == "inverse":
         if n > DENSE_CAP:
             raise TooLargeForDenseError(
                 f"inverse method needs a dense {n}x{n} solve (cap {DENSE_CAP})"
             )
-        walks = np.linalg.inv(np.eye(n) - rho * matrix.to_dense().T).T
+        walks = np.linalg.inv(np.eye(n) - rho * edges.to_dense().T).T
         pattern = SparseMatrix.from_dense(walks > 0.5 * rho ** max(n - 1, 1))
-        if (pattern + pattern @ matrix.pattern()).pattern().nnz != pattern.nnz:
+        if (pattern + pattern @ edges).pattern().nnz != pattern.nnz:
             raise MagError(
                 f"inverse reachability lost pairs to float underflow (n={n}, rho={rho:.3g})"
             )

@@ -17,9 +17,7 @@ import sys
 import numpy as np
 
 from .algorithms import (
-    BfsResult,
     DegreeResult,
-    DfsResult,
     bfs,
     bfs_sub,
     degree,
@@ -52,16 +50,6 @@ from .matrices import (
     weighted_laplacian,
 )
 
-_MATRIX_KINDS = (
-    "adjacency",
-    "incidence",
-    "laplacian",
-    "weighted-laplacian",
-    "normalized-laplacian",
-    "subdet-adjacency",
-    "elimination",
-)
-
 
 def _load_input(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Mag:
     given = [x for x in (args.input_pos, args.input_opt) if x]
@@ -88,16 +76,29 @@ def _vertex_column(aspects: AspectList) -> list[str]:
     return ["(" + labels + ")" for labels in aspects.joined_labels(np.arange(n))]
 
 
-def _fmt_dist(x: float) -> str:
-    return "inf" if math.isinf(x) else str(int(x))
+def _plain(value):
+    """inf becomes "inf", element-wise through lists and tuples."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(x) for x in value]
+    return "inf" if value == math.inf else value
 
 
-def _fmt_pred(x: int | None) -> str:
-    return "nil" if x is None else str(x)
+def _print_fields(fields: dict, as_json: bool) -> None:
+    """Print key -> values as sorted-key JSON, or one "key: v1 v2 ..." line each.
 
-
-def _json_dist(x: float):
-    return "inf" if math.isinf(x) else int(x)
+    A scalar is a one-value field; a list prints space-separated and a tuple
+    (a companion tuple) comma-separated. inf prints as "inf" in both forms,
+    None as null in JSON and nil in text.
+    """
+    if as_json:
+        print(json.dumps({k: _plain(v) for k, v in fields.items()}, sort_keys=True))
+        return
+    for key, value in fields.items():
+        if isinstance(value, tuple):
+            value = [",".join(map(str, value))]
+        elif not isinstance(value, list):
+            value = [value]
+        print(" ".join([f"{key}:", *("nil" if x is None else str(_plain(x)) for x in value)]))
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
@@ -130,29 +131,15 @@ def _cmd_validate(args, parser) -> int:
 
 def _cmd_info(args, parser) -> int:
     mag = _load_input(args, parser)
-    tau = companion_tuple(mag)
-    trivial = trivial_components(mag)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "name": mag.name,
-                    "order": mag.order,
-                    "tau": list(tau.sizes),
-                    "vertices": mag.vertex_count,
-                    "edges": len(mag.origin),
-                    "trivial": list(trivial),
-                },
-                sort_keys=True,
-            )
-        )
-        return 0
-    print(f"name: {mag.name}")
-    print(f"order: {mag.order}")
-    print("tau: " + ",".join(str(s) for s in tau.sizes))
-    print(f"vertices: {mag.vertex_count}")
-    print(f"edges: {len(mag.origin)}")
-    print(("trivial: " + " ".join(str(d) for d in trivial)).rstrip())
+    fields = {
+        "name": mag.name,
+        "order": mag.order,
+        "tau": companion_tuple(mag).sizes,
+        "vertices": mag.vertex_count,
+        "edges": len(mag.origin),
+        "trivial": list(trivial_components(mag)),
+    }
+    _print_fields(fields, args.json)
     return 0
 
 
@@ -178,13 +165,10 @@ def _cmd_degree(args, parser) -> int:
         parser.error("--separate-loops requires --zeta")
     result, aspects = _degree_result(mag, args)
     if args.json:
-        payload = {
-            "indegree": list(result.indegree),
-            "outdegree": list(result.outdegree),
-        }
+        fields = {"indegree": list(result.indegree), "outdegree": list(result.outdegree)}
         if result.selfdegree is not None:
-            payload["selfdegree"] = list(result.selfdegree)
-        print(json.dumps(payload, sort_keys=True))
+            fields["selfdegree"] = list(result.selfdegree)
+        _print_fields(fields, True)
         return 0
     labels = _vertex_column(aspects)
     headers = ["vertex", "in", "out"]
@@ -202,24 +186,6 @@ def _cmd_degree(args, parser) -> int:
     return 0
 
 
-def _print_bfs(result: BfsResult, as_json: bool) -> None:
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "vertices": list(result.vertices),
-                    "distance": [_json_dist(x) for x in result.distance],
-                    "pred": list(result.pred),
-                },
-                sort_keys=True,
-            )
-        )
-        return
-    print("vertices: " + " ".join(str(v) for v in result.vertices))
-    print("distance: " + " ".join(_fmt_dist(x) for x in result.distance))
-    print("pred: " + " ".join(_fmt_pred(x) for x in result.pred))
-
-
 def _cmd_bfs(args, parser) -> int:
     mag = _load_input(args, parser)
     jm = adjacency_matrix(mag)
@@ -232,26 +198,13 @@ def _cmd_bfs(args, parser) -> int:
     else:
         source = mag.aspects.vertex(tokens)
         result = bfs(jm, source)
-    _print_bfs(result, args.json)
+    fields = {
+        "vertices": list(result.vertices),
+        "distance": list(result.distance),
+        "pred": list(result.pred),
+    }
+    _print_fields(fields, args.json)
     return 0
-
-
-def _print_dfs(result: DfsResult, as_json: bool) -> None:
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "d": list(result.disc_time),
-                    "f": list(result.fin_time),
-                    "pred": list(result.pred),
-                },
-                sort_keys=True,
-            )
-        )
-        return
-    print("d: " + " ".join(str(x) for x in result.disc_time))
-    print("f: " + " ".join(str(x) for x in result.fin_time))
-    print("pred: " + " ".join(_fmt_pred(x) for x in result.pred))
 
 
 def _cmd_dfs(args, parser) -> int:
@@ -261,47 +214,46 @@ def _cmd_dfs(args, parser) -> int:
         result = dfs_sub(jm, _parse_zeta(mag, args.zeta))
     else:
         result = dfs(jm)
-    _print_dfs(result, args.json)
+    fields = {"d": list(result.disc_time), "f": list(result.fin_time), "pred": list(result.pred)}
+    _print_fields(fields, args.json)
     return 0
+
+
+def _subdet_adjacency(mag: Mag, bits: str):
+    jm = adjacency_matrix(mag)
+    agg = sub_determination_matrix(jm.tau, _parse_zeta(mag, bits))
+    return sub_determined_adjacency(jm.matrix, agg)
+
+
+# --matrix kind -> (builder(mag, zeta bits), --main-components mode or None
+# where the flag does not apply); the key order is the order of the choices
+_EXPORTS = {
+    "adjacency": (lambda mag, _: adjacency_matrix(mag).matrix, "adjacency"),
+    "incidence": (lambda mag, _: _incidence(mag).matrix, "incidence"),
+    "laplacian": (lambda mag, _: combinatorial_laplacian(_incidence(mag).matrix), "adjacency"),
+    "weighted-laplacian": (
+        lambda mag, _: weighted_laplacian(_incidence(mag).matrix, mag.edge_weights),
+        "adjacency",
+    ),
+    "normalized-laplacian": (lambda mag, _: normalized_laplacian(_incidence(mag).matrix), "adjacency"),
+    "subdet-adjacency": (_subdet_adjacency, None),
+    "elimination": (lambda mag, _: elimination_matrix(mag), None),
+}
 
 
 def _cmd_export(args, parser) -> int:
     mag = _load_input(args, parser)
     kind = args.matrix
-    if kind == "subdet-adjacency":
-        if not args.zeta:
-            parser.error("--matrix subdet-adjacency requires --zeta")
-        if args.main_components:
-            parser.error("--main-components does not apply to subdet-adjacency")
-        zeta = _parse_zeta(mag, args.zeta)
-        jm = adjacency_matrix(mag)
-        agg = sub_determination_matrix(jm.tau, zeta)
-        matrix = sub_determined_adjacency(jm.matrix, agg)
-    else:
-        if args.zeta:
-            parser.error(f"--zeta does not apply to --matrix {kind}")
-        if kind == "adjacency":
-            matrix = adjacency_matrix(mag).matrix
-            mode = "adjacency"
-        elif kind == "incidence":
-            matrix = _incidence(mag).matrix
-            mode = "incidence"
-        elif kind == "elimination":
-            if args.main_components:
-                parser.error("--main-components does not apply to elimination")
-            matrix = elimination_matrix(mag)
-            mode = None
-        else:
-            c = _incidence(mag).matrix
-            if kind == "laplacian":
-                matrix = combinatorial_laplacian(c)
-            elif kind == "weighted-laplacian":
-                matrix = weighted_laplacian(c, mag.edge_weights)
-            else:
-                matrix = normalized_laplacian(c)
-            mode = "adjacency"
-        if args.main_components:
-            matrix = main_components(matrix, elimination_matrix(mag), mode)
+    build, mode = _EXPORTS[kind]
+    if kind == "subdet-adjacency" and not args.zeta:
+        parser.error("--matrix subdet-adjacency requires --zeta")
+    if kind != "subdet-adjacency" and args.zeta:
+        parser.error(f"--zeta does not apply to --matrix {kind}")
+    if args.main_components and mode is None:
+        parser.error(f"--main-components does not apply to {kind}")
+    matrix = build(mag, args.zeta)
+    if args.main_components:
+        matrix = main_components(matrix, elimination_matrix(mag), mode)
     export_matrix_market(matrix, args.output)
     return 0
 
@@ -358,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dfs)
 
     p = sub.add_parser("export", parents=[common], help="write a matrix in Matrix Market format")
-    p.add_argument("--matrix", required=True, choices=_MATRIX_KINDS)
+    p.add_argument("--matrix", required=True, choices=_EXPORTS)
     p.add_argument("--zeta", metavar="BITS", help="for subdet-adjacency")
     p.add_argument("--main-components", action="store_true", help="drop trivial rows/columns")
     p.add_argument("-o", "--output", required=True, metavar="OUT")
@@ -377,10 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except MagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -273,19 +273,25 @@ def read_matrix_market(source: str | TextIO) -> SparseMatrix:
     ]
     if not body:
         raise MagParseError("missing size line", line=2)
-    size_line, rest = body[0], body[1:]
-    parts = size_line[1].split()
-    if len(parts) != 3:
-        raise MagParseError(f"malformed size line {size_line[1]!r}", line=size_line[0])
-    rows, cols, nnz = (int(p) for p in parts)
+    (size_no, size_line), rest = body[0], body[1:]
+    try:
+        rows, cols, nnz = (int(p) for p in size_line.split())
+    except ValueError:
+        rows = cols = nnz = -1
+    if min(rows, cols, nnz) < 0:
+        raise MagParseError(f"malformed size line {size_line!r}", line=size_no)
     if len(rest) != nnz:
         raise MagParseError(f"expected {nnz} entries, found {len(rest)}")
     entries = []
     for lineno, ln in rest:
-        fields = ln.split()
-        if len(fields) != 3:
-            raise MagParseError(f"malformed entry {ln!r}", line=lineno)
-        entries.append((int(fields[0]) - 1, int(fields[1]) - 1, float(fields[2])))
+        try:
+            i, j, x = ln.split()
+            r, c, value = int(i) - 1, int(j) - 1, float(x)
+        except ValueError:
+            raise MagParseError(f"malformed entry {ln!r}", line=lineno) from None
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise MagParseError(f"entry {ln!r} is outside the {rows}x{cols} matrix", line=lineno)
+        entries.append((r, c, value))
     return SparseMatrix.from_entries(rows, cols, entries)
 
 

@@ -9,7 +9,7 @@ three Laplacians, the aggregation matrix of a sub-determination, and exact
 rank and nullity. matrix_rank eliminates on sparse integer rows and refuses
 matrices beyond the dense cap; nullspace_dimension answers any Laplacian
 (D - A, A >= 0 symmetric, zero row sums) by its component count at any size,
-and every other matrix through matrix_rank.
+and every other matrix through matrix_rank. Both refuse nan and inf entries.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     subdet_image,
 )
 from .errors import (
+    MagError,
     NonBinaryEntryError,
     NonPositiveWeightError,
     NonzeroDiagonalError,
@@ -218,6 +219,14 @@ def sub_determined_adjacency(adjacency: SparseMatrix, aggregation: SparseMatrix)
     return aggregation @ adjacency @ aggregation.transpose()
 
 
+def _require_finite(matrix: SparseMatrix) -> None:
+    bad = ~np.isfinite(matrix.values)
+    if bad.any():
+        k = int(bad.argmax())
+        r, c = int(matrix.entry_rows[k]) + 1, int(matrix.indices[k]) + 1
+        raise MagError(f"entry ({r},{c}) = {float(matrix.values[k])} is not finite")
+
+
 def matrix_rank(matrix: SparseMatrix) -> int:
     """Exact rank by fraction-free elimination on sparse integer rows.
 
@@ -227,8 +236,10 @@ def matrix_rank(matrix: SparseMatrix) -> int:
     smallest leading column (the row there with the fewest entries) and
     updates only the rows that lead there: row = p·row - f·pivot, over its
     gcd. O(nnz) while rows stay sparse; fill-in can cost O(r·n^2) big-int
-    operations, so both sides are capped at the dense cap.
+    operations, so both sides are capped at the dense cap. A nan or inf
+    entry raises MagError.
     """
+    _require_finite(matrix)
     if max(matrix.rows, matrix.cols) > DENSE_CAP:
         raise TooLargeForDenseError(
             f"{matrix.shape} exceeds the dense cap of {DENSE_CAP}"
@@ -276,11 +287,13 @@ def nullspace_dimension(matrix: SparseMatrix) -> int:
     D - A with A >= 0 symmetric, like every C^T·W·C with W > 0. Then
     x^T·L·x = 1/2·sum a_ij·(x_i - x_j)^2, so the kernel is the vectors
     constant on each component, and the component count is returned.
-    Otherwise cols - matrix_rank, which refuses beyond the dense cap.
+    Otherwise cols - matrix_rank, which refuses beyond the dense cap. A nan
+    or inf entry raises MagError.
     """
     n = matrix.rows
     if n != matrix.cols:
         raise ShapeMismatchError(f"expected a square matrix, got {matrix.shape}")
+    _require_finite(matrix)
     rows = matrix.entry_rows
     values = np.where(np.abs(matrix.values) >= ZERO_TOLERANCE, matrix.values, 0.0)
     snapped = SparseMatrix.from_coo(n, n, rows, matrix.indices, values)

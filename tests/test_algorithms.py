@@ -278,6 +278,23 @@ def test_reachability_inverse_refuses_lost_pairs():
         reachability(jm, "inverse")
 
 
+# every method reads the 0/1 pattern (|x| >= 1e-12): a stored 1e-13 is no
+# edge, while 3e-12 and -1.0 are; closure used to follow the 1e-13 entry and
+# inverse used to raise "lost pairs" on the small and negative paths
+@pytest.mark.parametrize(
+    "n, value, reached",
+    [(2, 1e-13, [[1, 0], [0, 1]])]
+    + [(3, v, [[1, 1, 1], [0, 1, 1], [0, 0, 1]]) for v in (3e-12, -1.0)],
+)
+def test_reachability_methods_agree_on_non_binary_entries(n, value, reached):
+    matrix = SparseMatrix.from_coo(n, n, range(n - 1), range(1, n), [value] * (n - 1))
+    jm = MatrixWithTuple(matrix, CompanionTuple((n,)))
+    for method in ("closure", "series", "inverse"):
+        result = reachability(jm, method)
+        assert result.pattern.to_dense().tolist() == reached, method
+        assert result.rho == 0.5
+
+
 def test_reachability_dense_cap():
     mag = build_mag([("V", [str(i) for i in range(600)])], [], "big")
     jm = adjacency_matrix(mag)

@@ -149,6 +149,16 @@ def test_bfs_json_round_trips(capsys):
     assert tuple(payload["pred"]) == result.pred
 
 
+def test_bfs_json_bytes(capsys):
+    _, out, _ = run(capsys, "bfs", "builtin:T", "--source", "2,Bus,t1", "--json")
+    assert out == (
+        '{"distance": ["inf", 0, "inf", "inf", 1, "inf", "inf", 1, 1, 2, 2, "inf", '
+        '"inf", 2, 2, 3, 3, "inf"], "pred": [null, null, null, null, 2, null, null, '
+        '2, 2, 5, 5, null, null, 8, 8, 10, 10, null], "vertices": [2, 5, 8, 9, 10, '
+        '11, 14, 15, 16, 17]}\n'
+    )
+
+
 def test_bfs_sub_text(capsys):
     _, out, _ = run(
         capsys, "bfs", "builtin:T", "--zeta", "011", "--source", "2,Bus"
@@ -177,6 +187,14 @@ def test_dfs_sub_json(capsys):
     assert tuple(payload["d"]) == ref.DFS_SUB_T_LOCMODE["d"]
     assert tuple(payload["f"]) == ref.DFS_SUB_T_LOCMODE["f"]
     assert payload["pred"] == [None, None, 2, 5, 2, None]
+
+
+def test_dfs_sub_json_bytes(capsys):
+    _, out, _ = run(capsys, "dfs", "builtin:T", "--zeta", "011", "--json")
+    assert out == (
+        '{"d": [0, 2, 3, 6, 5, 10], "f": [1, 9, 4, 7, 8, 11], '
+        '"pred": [null, null, 2, 5, 2, null]}\n'
+    )
 
 
 def test_export_laplacian_main_components(capsys, tmp_path):
@@ -261,6 +279,29 @@ def test_export_zeta_misuse_exits_2(capsys, tmp_path):
         )
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+# misuse of --zeta is reported before misuse of --main-components
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["elimination", "--main-components"],
+         "--main-components does not apply to elimination"),
+        (["subdet-adjacency", "--zeta", "011", "--main-components"],
+         "--main-components does not apply to subdet-adjacency"),
+        (["elimination", "--main-components", "--zeta", "011"],
+         "--zeta does not apply to --matrix elimination"),
+    ],
+)
+def test_export_flag_misuse_message(flags, message, capsys, tmp_path):
+    out_path = tmp_path / "x.mtx"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["export", "builtin:T", "--matrix", *flags, "-o", str(out_path)])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"magraph: error: {message}"
+    assert not out_path.exists()
 
 
 def test_info_no_trivial_line(capsys):

@@ -197,6 +197,24 @@ def test_read_matrix_market_rejects_garbage():
         )
 
 
+# each used to escape as a bare ValueError from int(), float() or scipy
+@pytest.mark.parametrize(
+    "size, entry",
+    [
+        ("2 2 x", None),
+        ("-1 2 0", None),
+        ("2 2 1", "1 1 abc"),
+        ("2 2 1", "3 1 1.0"),
+        ("2 2 1", "0 1 1.0"),
+    ],
+)
+def test_read_matrix_market_reports_bad_numbers_by_line(size, entry):
+    lines = ["%%MatrixMarket matrix coordinate real general", "% comment", size]
+    lines += [entry] if entry else []
+    with pytest.raises(MagParseError, match=f"^line {len(lines)}: "):
+        read_matrix_market("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # builtin examples
 

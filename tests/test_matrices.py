@@ -7,6 +7,7 @@ import pytest
 
 from magraph import (
     CompanionTuple,
+    MagError,
     MatrixWithTuple,
     NonBinaryEntryError,
     NonPositiveWeightError,
@@ -30,6 +31,7 @@ from magraph import (
     matrix_rank,
     normalized_laplacian,
     nullspace_dimension,
+    parse_mag,
     sub_determination_matrix,
     sub_determine_mag,
     sub_determined_adjacency,
@@ -418,6 +420,23 @@ def test_matrix_rank_small():
     assert matrix_rank(m) == 1
     assert nullspace_dimension(m) == 1
     assert matrix_rank(SparseMatrix.identity(4)) == 4
+
+
+def test_rank_and_nullity_refuse_non_finite_entries():
+    # nan used to be snapped to zero (rank 1) and inf raised OverflowError
+    for bad in (np.nan, np.inf, -np.inf):
+        m = SparseMatrix.from_diagonal([bad, 1.0])
+        for f in (matrix_rank, nullspace_dimension):
+            with pytest.raises(MagError, match="not finite"):
+                f(m)
+    # the parser accepts weights of 1e308; the Laplacian's diagonal overflows
+    tri = parse_mag(
+        "*mag tri\n*aspect A\na\nb\nc\n*edges\n"
+        "a -> b : 1e308\nb -> c : 1e308\nc -> a : 1e308\n"
+    )
+    lap = weighted_laplacian(incidence_matrix(tri)[0].matrix, tri.edge_weights)
+    with pytest.raises(MagError, match="not finite"):
+        nullspace_dimension(lap)
 
 
 def test_nullspace_component_fallback_beyond_cap():
