@@ -37,11 +37,10 @@ from .core import (
 from .errors import (
     IndexOutOfRangeError,
     MagError,
-    ShapeMismatchError,
     TooLargeForDenseError,
     UnknownVertexError,
 )
-from .matrices import MatrixWithTuple, sub_determination_matrix, sub_determined_adjacency
+from .matrices import MatrixWithTuple, _square_size, sub_determination_matrix, sub_determined_adjacency
 from .sparse import DENSE_CAP, SparseMatrix
 
 
@@ -174,7 +173,8 @@ def _projected_bfs(
 
     image maps graph's vertices onto size result vertices. A result vertex's
     predecessor is the image of the BFS parent of its first preimage touched;
-    distances take one pass over that order. O(size + rows + nnz).
+    distances take one pass over that order. O(size + nnz + rows·log rows),
+    since first touches are found by sorting the images of the BFS order.
     """
     order, parent = graph.breadth_first_order(start)
     images = image[order]
@@ -190,25 +190,29 @@ def _projected_bfs(
 
 
 def bfs(jm: MatrixWithTuple, source: CompositeVertex | Sequence[int]) -> BfsResult:
-    """FIFO-queue BFS from one composite vertex (identity image); O(n+|E|)."""
+    """FIFO-queue BFS from one composite vertex (identity image); O(n·log n + |E|)."""
     tau = jm.tau
     n = composite_vertex_count(tau)
     return _projected_bfs(jm.matrix, _source_index(source, tau) - 1, np.arange(n), n, tau)
 
 
 def _with_virtual_sources(
-    matrix: SparseMatrix, image: np.ndarray, size: int
-) -> tuple[SparseMatrix, np.ndarray]:
+    jm: MatrixWithTuple, zeta: SubDetermination
+) -> tuple[SparseMatrix, np.ndarray, CompanionTuple]:
     """J's pattern plus a virtual source row n + s per sub-determined vertex s.
 
     Row n + s points at s's preimage, so a BFS from it dequeues that preimage
-    first, in ascending order. Returns the graph and the image of its rows.
+    first, in ascending order. Returns the graph, the image of its rows and
+    the sub-determined tuple (whose construction validates zeta).
     """
-    n = matrix.rows
-    rows = np.concatenate([matrix.entry_rows, n + image])
-    cols = np.concatenate([matrix.indices, np.arange(n)])
+    tz = sub_companion_tuple(jm.tau, zeta)
+    size = composite_vertex_count(tz)
+    image = subdet_image(jm.tau, zeta)
+    n = jm.matrix.rows
+    rows = np.concatenate([jm.matrix.entry_rows, n + image])
+    cols = np.concatenate([jm.matrix.indices, np.arange(n)])
     graph = SparseMatrix.from_coo(n + size, n + size, rows, cols, np.ones(len(rows)))
-    return graph, np.concatenate([image, np.arange(size)])
+    return graph, np.concatenate([image, np.arange(size)]), tz
 
 
 def bfs_sub(
@@ -222,15 +226,11 @@ def bfs_sub(
     successors are the source's preimage; discoveries are recorded per
     sub-determined vertex on first touch, so only paths that exist in the
     original graph can reach a sub-determined vertex. The source is given
-    over the kept aspects only. O(n+|E|).
+    over the kept aspects only. O(n·log n + |E|).
     """
-    tau = jm.tau
-    zeta.require_valid(tau.order)
-    tz = sub_companion_tuple(tau, zeta)
-    ns = composite_vertex_count(tz)
+    graph, image, tz = _with_virtual_sources(jm, zeta)
     src = _source_index(source, tz.restricted()) - 1
-    graph, image = _with_virtual_sources(jm.matrix, subdet_image(tau, zeta), ns)
-    return _projected_bfs(graph, jm.matrix.rows + src, image, ns, tz)
+    return _projected_bfs(graph, jm.matrix.rows + src, image, composite_vertex_count(tz), tz)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +243,6 @@ def _spectral_bound(matrix: SparseMatrix) -> float:
         return 0.5
     row_sums = matrix.matvec(np.ones(matrix.cols))
     return 1.0 / (2.0 * max(1.0, float(row_sums.max())))
-
-
-def _square_size(matrix: SparseMatrix) -> int:
-    if matrix.rows != matrix.cols:
-        raise ShapeMismatchError(f"adjacency must be square, got {matrix.shape}")
-    return matrix.rows
 
 
 def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
@@ -360,12 +354,9 @@ def dfs_sub(jm: MatrixWithTuple, zeta: SubDetermination) -> DfsResult:
     forest. bfs_sub's virtual-source graph is built once, but each of r trees
     runs one BFS, so r trees cost O(r·(n+|E|)): quadratic when r grows with n.
     """
-    tau = jm.tau
-    zeta.require_valid(tau.order)
-    tz = sub_companion_tuple(tau, zeta)
+    graph, image, tz = _with_virtual_sources(jm, zeta)
     ns = composite_vertex_count(tz)
-    graph, image = _with_virtual_sources(jm.matrix, subdet_image(tau, zeta), ns)
-    aggregated = sub_determined_adjacency(jm.matrix, sub_determination_matrix(tau, zeta))
+    aggregated = sub_determined_adjacency(jm.matrix, sub_determination_matrix(jm.tau, zeta))
 
     def may_enter(root: int):
         reached = np.zeros(ns, dtype=bool)

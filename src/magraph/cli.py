@@ -34,6 +34,7 @@ from .core import (
     SubDetermination,
     companion_tuple,
     composite_vertex_count,
+    sub_determine_mag,
 )
 from .errors import MagError
 from .io import builtin_example, load_mag, save_mag, export_matrix_market
@@ -259,8 +260,6 @@ def _cmd_export(args, parser) -> int:
 
 
 def _cmd_subdet(args, parser) -> int:
-    from .core import sub_determine_mag
-
     mag = _load_input(args, parser)
     zeta = _parse_zeta(mag, args.zeta)
     save_mag(sub_determine_mag(mag, zeta), args.output)

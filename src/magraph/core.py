@@ -175,6 +175,16 @@ class AspectList:
         return MagEdge(self.vertex(origin), self.vertex(destination), weight)
 
 
+def _finite_positive(weights):
+    """True where a weight is a finite number > 0 (never for nan); floats or float arrays."""
+    return (weights > 0) & (weights < np.inf)
+
+
+def _weight_fault(weight: float) -> str:
+    """Why a weight that is not _finite_positive is refused."""
+    return f"{weight} must be > 0" if not weight > 0 else f"{weight} must be finite"
+
+
 @dataclass(frozen=True)
 class MagEdge:
     """A directed edge between two composite vertices of the same order."""
@@ -188,8 +198,8 @@ class MagEdge:
             raise EdgeArityError("edge endpoints have different orders")
         if self.origin.labels == self.destination.labels:
             raise SelfLoopEdgeError(f"self-loop at {self.origin}")
-        if not self.weight > 0:
-            raise NonPositiveWeightError(f"edge weight {self.weight} must be > 0")
+        if not _finite_positive(self.weight):
+            raise NonPositiveWeightError(f"edge weight {_weight_fault(self.weight)}")
 
     def endpoints(self) -> tuple[Labels, Labels]:
         return self.origin.labels, self.destination.labels
@@ -205,7 +215,7 @@ class Mag:
     Edge i runs from composite vertex ``origin[i]`` to ``destination[i]``
     (0-based indices, i.e. the 1-based vertex index minus one) with weight
     ``weights[i]``. The constructor copies the three arrays, checks them
-    once (indices in range, no self-loop, no repeated pair, positive
+    once (indices in range, no self-loop, no repeated pair, finite positive
     weights) and makes them read-only; ``lines``, one source line per edge,
     only labels its diagnostics. ``edges`` gives the same edges as MagEdge
     objects, built on first access and cached; the package's own code reads
@@ -302,7 +312,7 @@ def _edge_arrays(aspects: AspectList, origin, destination, weights, lines=None):
             f"edge arrays have shapes {o.shape}, {d.shape} and {w.shape}"
         )
     outside = (o < 0) | (o >= n) | (d < 0) | (d >= n)
-    bad = outside | (o == d) | ~(w > 0) | _repeats(o, d)
+    bad = outside | (o == d) | ~_finite_positive(w) | _repeats(o, d)
     if bad.any():
         k = int(bad.argmax())
         line = None if lines is None else lines[k]
@@ -311,8 +321,8 @@ def _edge_arrays(aspects: AspectList, origin, destination, weights, lines=None):
         ov, dv = (aspects.vertex_from_numeric(vertex_from_index(int(x) + 1, tau)) for x in (o[k], d[k]))
         if o[k] == d[k]:
             raise SelfLoopEdgeError(f"self-loop at {ov}", line=line)
-        if not w[k] > 0:
-            raise NonPositiveWeightError(f"edge weight {w[k]} must be > 0", line=line)
+        if not _finite_positive(w[k]):
+            raise NonPositiveWeightError(f"edge weight {_weight_fault(w[k])}", line=line)
         raise DuplicateEdgeError(f"duplicate edge {ov} -> {dv}", line=line)
     for array in (o, d, w):
         array.flags.writeable = False

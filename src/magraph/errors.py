@@ -71,7 +71,7 @@ class WeightCountError(MagError):
 
 
 class NonPositiveWeightError(MagError):
-    """An edge weight is zero or negative."""
+    """An edge weight is not a finite positive number."""
 
 
 class TooLargeForDenseError(MagError):

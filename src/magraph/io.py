@@ -21,13 +21,14 @@ row-major entries, 17 significant digits).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
-from .core import Aspect, AspectList, Mag, build_mag
+from .core import Aspect, AspectList, Mag, _finite_positive, _weight_fault, build_mag
 from .errors import (
     EdgeArityError,
     EmptyAspectError,
@@ -196,8 +197,8 @@ def _parse_edge_line(
             weight = float(weight_part)
         except ValueError:
             raise MagParseError(f"malformed weight {weight_part!r}", line=lineno) from None
-        if not weight > 0:
-            raise NonPositiveWeightError(f"weight {weight} must be > 0", line=lineno)
+        if not _finite_positive(weight):
+            raise NonPositiveWeightError(f"weight {_weight_fault(weight)}", line=lineno)
     elif colon:
         raise MagParseError("':' without a weight", line=lineno)
     return o, d, weight, missing
@@ -257,7 +258,7 @@ def export_matrix_market(matrix: SparseMatrix, destination) -> None:
 
 
 def read_matrix_market(source: str | TextIO) -> SparseMatrix:
-    """Parse coordinate-format Matrix Market text (or a readable handle)."""
+    """Parse coordinate-format Matrix Market text (or a readable handle); faults name their line."""
     text = source if isinstance(source, str) else source.read()
     lines = text.splitlines()
     if not lines:
@@ -281,7 +282,8 @@ def read_matrix_market(source: str | TextIO) -> SparseMatrix:
     if min(rows, cols, nnz) < 0:
         raise MagParseError(f"malformed size line {size_line!r}", line=size_no)
     if len(rest) != nnz:
-        raise MagParseError(f"expected {nnz} entries, found {len(rest)}")
+        where = len(lines) if len(rest) < nnz else rest[nnz][0]
+        raise MagParseError(f"expected {nnz} entries, found {len(rest)}", line=where)
     entries = []
     for lineno, ln in rest:
         try:
@@ -291,6 +293,8 @@ def read_matrix_market(source: str | TextIO) -> SparseMatrix:
             raise MagParseError(f"malformed entry {ln!r}", line=lineno) from None
         if not (0 <= r < rows and 0 <= c < cols):
             raise MagParseError(f"entry {ln!r} is outside the {rows}x{cols} matrix", line=lineno)
+        if not math.isfinite(value):
+            raise MagParseError(f"entry {ln!r} is not finite", line=lineno)
         entries.append((r, c, value))
     return SparseMatrix.from_entries(rows, cols, entries)
 

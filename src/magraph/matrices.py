@@ -27,6 +27,7 @@ from .core import (
     Mag,
     MagEdge,
     SubDetermination,
+    _finite_positive,
     companion_tuple,
     composite_vertex_count,
     sub_companion_tuple,
@@ -170,14 +171,15 @@ def combinatorial_laplacian(incidence: SparseMatrix) -> SparseMatrix:
 
 
 def weighted_laplacian(incidence: SparseMatrix, edge_weights: Sequence[float]) -> SparseMatrix:
-    """C^T·W·C with W the diagonal of per-edge positive weights (one per row of C)."""
+    """C^T·W·C with W the diagonal of per-edge finite positive weights (one per row of C)."""
     weights = np.asarray(edge_weights, dtype=np.float64)
     if weights.shape != (incidence.rows,):
         raise WeightCountError(
             f"{weights.size} weights for {incidence.rows} edges"
         )
-    if not np.all(weights > 0):
-        raise NonPositiveWeightError("edge weights must be positive")
+    if not np.all(_finite_positive(weights)):
+        rule = "finite" if np.all(weights > 0) else "positive"
+        raise NonPositiveWeightError(f"edge weights must be {rule}")
     w = SparseMatrix.from_diagonal(weights)
     return incidence.transpose() @ w @ incidence
 
@@ -208,11 +210,15 @@ def sub_determination_matrix(tau: CompanionTuple, zeta: SubDetermination) -> Spa
     return SparseMatrix.from_coo(m, n, image, np.arange(n), np.ones(n))
 
 
+def _square_size(matrix: SparseMatrix) -> int:
+    if matrix.rows != matrix.cols:
+        raise ShapeMismatchError(f"expected a square matrix, got {matrix.shape}")
+    return matrix.rows
+
+
 def sub_determined_adjacency(adjacency: SparseMatrix, aggregation: SparseMatrix) -> SparseMatrix:
     """M·J·M^T: integer multiplicities of superposed edges; diagonal counts self-loops."""
-    if adjacency.rows != adjacency.cols:
-        raise ShapeMismatchError(f"adjacency must be square, got {adjacency.shape}")
-    if aggregation.cols != adjacency.rows:
+    if aggregation.cols != _square_size(adjacency):
         raise ShapeMismatchError(
             f"aggregation {aggregation.shape} does not match adjacency {adjacency.shape}"
         )
@@ -290,9 +296,7 @@ def nullspace_dimension(matrix: SparseMatrix) -> int:
     Otherwise cols - matrix_rank, which refuses beyond the dense cap. A nan
     or inf entry raises MagError.
     """
-    n = matrix.rows
-    if n != matrix.cols:
-        raise ShapeMismatchError(f"expected a square matrix, got {matrix.shape}")
+    n = _square_size(matrix)
     _require_finite(matrix)
     rows = matrix.entry_rows
     values = np.where(np.abs(matrix.values) >= ZERO_TOLERANCE, matrix.values, 0.0)

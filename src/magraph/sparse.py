@@ -1,8 +1,11 @@
 """Immutable CSR matrices and the small kernel set the graph code needs.
 
-Backed by scipy.sparse; every constructor canonicalizes the storage (summed
-duplicates, strictly increasing column indices per row, no stored zeros) so
-row scans are deterministic and pattern comparisons are well defined.
+Outside data enters through two builders, from_coo (which from_entries,
+identity, zeros and from_diagonal call) and from_dense; each imports
+scipy.sparse there, so a program that builds no matrix never loads it.
+Every matrix is canonical (summed duplicates, strictly increasing column
+indices per row, no stored zeros), so row scans are deterministic and
+pattern comparisons are well defined.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ShapeMismatchError, TooLargeForDenseError
 
@@ -28,13 +30,13 @@ class SparseMatrix:
     __slots__ = ("_m",)
 
     def __init__(self, raw):
-        m = sp.csr_array(raw, dtype=np.float64, copy=True)
+        """Wrap a scipy.sparse result; outside data goes through from_coo or from_dense."""
+        m = raw.tocsr(copy=True).astype(np.float64, copy=False)
         m.sum_duplicates()
         m.sort_indices()
         m.eliminate_zeros()
-        m.indptr.flags.writeable = False
-        m.indices.flags.writeable = False
-        m.data.flags.writeable = False
+        for array in (m.indptr, m.indices, m.data):
+            array.flags.writeable = False
         object.__setattr__(self, "_m", m)
 
     def __setattr__(self, *_):
@@ -47,37 +49,38 @@ class SparseMatrix:
         cls, rows: int, cols: int, entries: Iterable[tuple[int, int, float]]
     ) -> "SparseMatrix":
         """Build from 0-based (row, col, value) triplets; duplicates are summed."""
-        ii, jj, vv = [], [], []
-        for i, j, v in entries:
-            ii.append(i)
-            jj.append(j)
-            vv.append(v)
+        triples = list(entries)
+        ii, jj, vv = zip(*triples) if triples else ((), (), ())
         return cls.from_coo(rows, cols, ii, jj, vv)
 
     @classmethod
     def from_coo(cls, rows: int, cols: int, row_index, col_index, values) -> "SparseMatrix":
         """Build from parallel 0-based row, column and value arrays; duplicates are summed."""
+        import scipy.sparse as sp  # slow to import; only matrix builds need it
+
         data = np.asarray(values, dtype=np.float64)
         coords = (np.asarray(row_index, dtype=np.int64), np.asarray(col_index, dtype=np.int64))
-        coo = sp.coo_array((data, coords), shape=(rows, cols))
-        return cls(coo.tocsr())
+        return cls(sp.coo_array((data, coords), shape=(rows, cols)))
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
+        """Build from a dense 2-D array; the CSR keeps scipy's own index dtype (int32 when it fits)."""
+        import scipy.sparse as sp  # slow to import; only matrix builds need it
+
         return cls(sp.csr_array(np.asarray(array, dtype=np.float64)))
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(sp.eye_array(n, format="csr"))
+        return cls.from_diagonal(np.ones(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(sp.csr_array((rows, cols)))
+        return cls.from_coo(rows, cols, [], [], [])
 
     @classmethod
     def from_diagonal(cls, values: Sequence[float]) -> "SparseMatrix":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(sp.diags_array(values, format="csr"))
+        k = np.arange(len(values))
+        return cls.from_coo(len(k), len(k), k, k, values)
 
     # shape / storage --------------------------------------------------
 
@@ -132,11 +135,7 @@ class SparseMatrix:
     # algebra ------------------------------------------------------------
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self._m.transpose().tocsr())
-
-    @property
-    def T(self) -> "SparseMatrix":
-        return self.transpose()
+        return SparseMatrix(self._m.transpose())
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -155,9 +154,6 @@ class SparseMatrix:
         if self.shape != other.shape:
             raise ShapeMismatchError(f"cannot add {self.shape} and {other.shape}")
         return SparseMatrix(self._m + other._m)
-
-    def scale(self, alpha: float) -> "SparseMatrix":
-        return SparseMatrix(self._m * float(alpha))
 
     def pattern(self, tol: float = ZERO_TOLERANCE) -> "SparseMatrix":
         """0/1 matrix marking entries with |x| >= tol."""

@@ -423,21 +423,38 @@ def test_commands_never_build_edge_objects(argv, capsys, tmp_path, monkeypatch):
     assert "edges" not in loaded[0].__dict__
 
 
-def test_validate_leaves_csgraph_unimported():
-    """scipy.sparse.csgraph takes about 0.15 s to import (mostly
-    scipy.sparse.linalg); only traversals and component counts may pay it."""
+def test_validate_leaves_csgraph_unimported(tmp_path):
+    """scipy.sparse takes about 0.25 s to import, and its csgraph 0.15 s more
+    (mostly scipy.sparse.linalg). Commands that build no matrix load neither;
+    only traversals and component counts load csgraph."""
+    out = str(tmp_path / "sub.mag")
+    commands = [
+        ["validate", "builtin:T"],
+        ["info", "builtin:T"],
+        ["degree", "builtin:T"],
+        ["degree", "builtin:T", "--zeta", "011"],
+        ["degree", "builtin:R", "--zeta", "01", "--separate-loops"],
+        ["subdet", "builtin:T", "--zeta", "011", "--output", out],
+        ["validate", out],
+        ["bfs", "builtin:T", "--source", "2,Bus,t1"],
+    ]
     code = (
-        "import sys\n"
-        "import magraph\n"
-        "loaded = 'scipy.sparse.csgraph' in sys.modules\n"
-        "import magraph.cli\n"
-        "code = magraph.cli.main(['validate', 'builtin:T'])\n"
-        "print(code, loaded, 'scipy.sparse.csgraph' in sys.modules)\n"
+        "import contextlib, io, json, sys\n"
+        "import magraph, magraph.cli\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.csgraph')]\n"
+        "seen = [loaded()]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = magraph.cli.main(argv)\n"
+        "    seen.append([code, *loaded()])\n"
+        "print(json.dumps(seen))\n"
     )
     path = [str(Path(magraph.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["ok: T", "0 False False"]
+    assert json.loads(child.stdout) == [[False, False]] + [[0, False, False]] * 7 + [[0, True, True]]

@@ -14,6 +14,7 @@ from magraph import (
     IndexOutOfRangeError,
     InvalidAspectError,
     InvalidZetaError,
+    Mag,
     NonPositiveWeightError,
     SelfLoopEdgeError,
     SubDetermination,
@@ -101,8 +102,15 @@ def test_vertex_count_beyond_int64_rejected():
 
 
 def test_nonpositive_weight_rejected(mag_t):
-    with pytest.raises(NonPositiveWeightError):
-        mag_t.aspects.edge(("2", "Bus", "t1"), ("2", "Bus", "t2"), weight=0.0)
+    ends = ("2", "Bus", "t1"), ("2", "Bus", "t2")
+    with pytest.raises(NonPositiveWeightError, match="must be > 0"):
+        mag_t.aspects.edge(*ends, weight=0.0)
+    # inf (and 1e309, which overflows to it) used to pass through build_mag
+    for weight in (float("inf"), float("1e309")):
+        with pytest.raises(NonPositiveWeightError, match="must be finite"):
+            mag_t.aspects.edge(*ends, weight=weight)
+        with pytest.raises(NonPositiveWeightError, match="must be finite"):
+            Mag(mag_t.aspects, [0], [1], [weight])
 
 
 # ---------------------------------------------------------------------------

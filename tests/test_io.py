@@ -113,6 +113,10 @@ def test_bad_weight():
         parse_mag(SAMPLE + "work,t2 -> home,t1 : fast\n")
     with pytest.raises(NonPositiveWeightError):
         parse_mag(SAMPLE + "work,t2 -> home,t1 : -1\n")
+    # inf and 1e309 (which overflows to inf) used to be stored as inf
+    for weight in ("inf", "1e309"):
+        with pytest.raises(NonPositiveWeightError, match="must be finite"):
+            parse_mag(SAMPLE + f"work,t2 -> home,t1 : {weight}\n")
 
 
 def test_empty_aspect_line():
@@ -206,6 +210,10 @@ def test_read_matrix_market_rejects_garbage():
         ("2 2 1", "1 1 abc"),
         ("2 2 1", "3 1 1.0"),
         ("2 2 1", "0 1 1.0"),
+        ("2 2 1", "1 1 nan"),
+        ("2 2 1", "1 2 -inf"),
+        ("2 2 2", "1 1 1.0"),
+        ("2 2 0", "1 1 1.0"),
     ],
 )
 def test_read_matrix_market_reports_bad_numbers_by_line(size, entry):

@@ -290,6 +290,9 @@ def test_weighted_laplacian_validation(mag_t):
         weighted_laplacian(c, [1.0] * 5)
     with pytest.raises(NonPositiveWeightError):
         weighted_laplacian(c, [0.0] + [1.0] * 21)
+    for weight in (float("inf"), float("1e309")):
+        with pytest.raises(NonPositiveWeightError, match="must be finite"):
+            weighted_laplacian(c, [weight] + [1.0] * 21)
 
 
 def test_normalized_laplacian_t(mag_t):

@@ -50,6 +50,17 @@ def test_builders():
     d = SparseMatrix.from_diagonal([1.0, 0.0, 2.0])
     assert np.array_equal(d.to_dense(), np.diag([1.0, 0.0, 2.0]))
     assert d.nnz == 2
+    # every builder gives the same canonical storage as from_dense
+    dense = SparseMatrix.from_dense
+    assert eye.equals(dense(np.eye(3)))
+    assert SparseMatrix.identity(0).equals(dense(np.zeros((0, 0))))
+    assert z.equals(dense(np.zeros((2, 5))))
+    assert SparseMatrix.zeros(0, 4).equals(dense(np.zeros((0, 4))))
+    assert d.equals(dense(np.diag([1.0, 0.0, 2.0])))
+    entries = [(1, 2, 3.0), (0, 0, -1.0), (1, 2, 1.0), (0, 1, 0.0)]
+    expected = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+    assert SparseMatrix.from_entries(2, 3, entries).equals(dense(expected))
+    assert SparseMatrix.from_entries(2, 3, iter([])).equals(dense(np.zeros((2, 3))))
 
 
 def test_kernels_match_dense():
@@ -65,7 +76,6 @@ def test_kernels_match_dense():
         assert np.allclose(a.matvec(x), ad @ x)
         c = random_sparse(rng, a.rows, a.cols)
         assert np.allclose((a + c).to_dense(), ad + c.to_dense())
-        assert np.allclose(a.scale(2.5).to_dense(), 2.5 * ad)
         canonical(a @ b)
         canonical(a + c)
 
