@@ -92,9 +92,10 @@ def _int_tuple(counts: np.ndarray) -> tuple[int, ...]:
 
 
 def _image_degree(
-    mag: Mag, image: np.ndarray, size: int, tau: CompanionTuple, separate_loops: bool
+    mag: Mag, image: np.ndarray, tau: CompanionTuple, separate_loops: bool
 ) -> DegreeResult:
-    """Degrees of the size image vertices, counted from the edge arrays; O(n + |E|)."""
+    """Degrees of the image vertices, which tau numbers, from the edge arrays; O(n + |E|)."""
+    size = composite_vertex_count(tau)
     o, d = image[mag.origin], image[mag.destination]
     selfdeg = None
     if separate_loops:
@@ -108,8 +109,7 @@ def _image_degree(
 def degree(mag: Mag) -> DegreeResult:
     """In/out degree of every composite vertex (identity image); O(n + |E|)."""
     tau = companion_tuple(mag)
-    n = composite_vertex_count(tau)
-    return _image_degree(mag, np.arange(n), n, tau, False)
+    return _image_degree(mag, np.arange(composite_vertex_count(tau)), tau, False)
 
 
 def sub_det_degree(
@@ -123,8 +123,7 @@ def sub_det_degree(
     """
     tau = companion_tuple(mag)
     image = subdet_image(tau, zeta)
-    tz = sub_companion_tuple(tau, zeta)
-    return _image_degree(mag, image, composite_vertex_count(tz), tz, separate_loops)
+    return _image_degree(mag, image, sub_companion_tuple(tau, zeta), separate_loops)
 
 
 def _aggregated_degree(
@@ -167,15 +166,16 @@ def _source_index(source: CompositeVertex | Sequence[int], tau: CompanionTuple) 
 
 
 def _projected_bfs(
-    graph: SparseMatrix, start: int, image: np.ndarray, size: int, tau: CompanionTuple
+    graph: SparseMatrix, start: int, image: np.ndarray, tau: CompanionTuple
 ) -> BfsResult:
     """One BFS on graph from start, recorded per image vertex on first touch.
 
-    image maps graph's vertices onto size result vertices. A result vertex's
-    predecessor is the image of the BFS parent of its first preimage touched;
-    distances take one pass over that order. O(size + nnz + rows·log rows),
-    since first touches are found by sorting the images of the BFS order.
+    image maps graph's vertices onto the size vertices tau numbers. A result
+    vertex's predecessor is the image of the BFS parent of its first preimage
+    touched; distances take one pass over that order. O(size + nnz + rows·log
+    rows), since first touches are found by sorting the images of the BFS order.
     """
+    size = composite_vertex_count(tau)
     order, parent = graph.breadth_first_order(start)
     images = image[order]
     first = np.sort(np.unique(images, return_index=True)[1])
@@ -192,8 +192,8 @@ def _projected_bfs(
 def bfs(jm: MatrixWithTuple, source: CompositeVertex | Sequence[int]) -> BfsResult:
     """FIFO-queue BFS from one composite vertex (identity image); O(n·log n + |E|)."""
     tau = jm.tau
-    n = composite_vertex_count(tau)
-    return _projected_bfs(jm.matrix, _source_index(source, tau) - 1, np.arange(n), n, tau)
+    image = np.arange(composite_vertex_count(tau))
+    return _projected_bfs(jm.matrix, _source_index(source, tau) - 1, image, tau)
 
 
 def _with_virtual_sources(
@@ -230,7 +230,7 @@ def bfs_sub(
     """
     graph, image, tz = _with_virtual_sources(jm, zeta)
     src = _source_index(source, tz.restricted()) - 1
-    return _projected_bfs(graph, jm.matrix.rows + src, image, composite_vertex_count(tz), tz)
+    return _projected_bfs(graph, jm.matrix.rows + src, image, tz)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +310,10 @@ def _dfs_forest(matrix: SparseMatrix, may_enter, tau: CompanionTuple) -> DfsResu
 
     may_enter(root) returns the gate v -> bool on tree membership; the
     explicit stack reproduces the recursive visit's timestamps exactly, and
-    a vertex is unvisited while its discovery time is -1.
+    a vertex is unvisited while its discovery time is -1. Not csgraph's
+    depth_first_order: it rescans a row on every return (a star of 80k leaves
+    took 3.4 s, this loop 0.28 s), a super-root over 40k isolated vertices
+    took 1.0 s, and it gives no finish times.
     """
     n = matrix.rows
     disc = [-1] * n

@@ -32,6 +32,7 @@ from .core import (
     CompanionTuple,
     Mag,
     SubDetermination,
+    _kept_aspects,
     companion_tuple,
     composite_vertex_count,
     sub_determine_mag,
@@ -66,10 +67,6 @@ def _parse_zeta(mag: Mag, bits: str) -> SubDetermination:
     zeta = SubDetermination.from_bits(bits)
     zeta.require_valid(mag.order)
     return zeta
-
-
-def _kept_aspects(mag: Mag, zeta: SubDetermination) -> AspectList:
-    return AspectList(tuple(mag.aspects.aspects[i] for i in zeta.kept(mag.order)))
 
 
 def _vertex_column(aspects: AspectList) -> list[str]:
@@ -147,7 +144,7 @@ def _cmd_info(args, parser) -> int:
 def _degree_result(mag: Mag, args) -> tuple[DegreeResult, AspectList]:
     if args.zeta:
         zeta = _parse_zeta(mag, args.zeta)
-        aspects = _kept_aspects(mag, zeta)
+        aspects = _kept_aspects(mag.aspects, zeta)
         if args.algebraic:
             result = sub_det_degree_from_adjacency(
                 adjacency_matrix(mag), zeta, args.separate_loops
@@ -193,8 +190,7 @@ def _cmd_bfs(args, parser) -> int:
     tokens = tuple(t.strip() for t in args.source.split(","))
     if args.zeta:
         zeta = _parse_zeta(mag, args.zeta)
-        aspects = _kept_aspects(mag, zeta)
-        source = aspects.vertex(tokens)
+        source = _kept_aspects(mag.aspects, zeta).vertex(tokens)
         result = bfs_sub(jm, zeta, source.numeric)
     else:
         source = mag.aspects.vertex(tokens)

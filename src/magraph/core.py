@@ -161,7 +161,7 @@ class AspectList:
         vertices, which = np.unique(index, return_inverse=True)
         columns = [
             [a.elements[i] for i in digit.tolist()]
-            for a, digit in zip(self.aspects, _digits(vertices, self.sizes()))
+            for a, digit in zip(self.aspects, np.unravel_index(vertices, self.sizes(), order="F"))
         ]
         labels = [",".join(t) for t in zip(*columns)]
         return [labels[k] for k in which.tolist()]
@@ -272,16 +272,6 @@ class Mag:
     @property
     def edge_weights(self) -> tuple[float, ...]:
         return tuple(self.weights.tolist())
-
-
-def _digits(index: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
-    """Mixed-radix digits of 0-based composite indices, one array per aspect size."""
-    rest = np.asarray(index, dtype=np.int64)
-    digits = []
-    for s in sizes:
-        rest, digit = np.divmod(rest, s)
-        digits.append(digit)
-    return digits
 
 
 def _repeats(origin: np.ndarray, destination: np.ndarray) -> np.ndarray:
@@ -507,6 +497,14 @@ def vertex_from_index(d: int, tau: CompanionTuple) -> Numeric:
     return tuple(out)
 
 
+def _label_tables(aspect_index: Sequence[dict[str, int]]) -> list[dict[str, int]]:
+    """Per aspect, label -> position times position_weight: an endpoint's 0-based
+    index is one lookup per aspect, summed. Python ints, which never wrap."""
+    tau = CompanionTuple(tuple(map(len, aspect_index)))
+    places = [position_weight(k + 1, tau) for k in range(tau.order)]
+    return [{label: i * w for label, i in index.items()} for index, w in zip(aspect_index, places)]
+
+
 def sub_determine_vertex(v: CompositeVertex, zeta: SubDetermination) -> CompositeVertex:
     """Keep only the aspects selected by zeta, preserving order."""
     zeta.require_valid(v.order)
@@ -528,18 +526,18 @@ def sub_determine_edge(e: MagEdge, zeta: SubDetermination) -> MagEdge | None:
 def subdet_image(tau: CompanionTuple, zeta: SubDetermination) -> np.ndarray:
     """0-based sub-determined index of every 0-based composite index under tau.
 
-    Entry j is the index, among the kept aspects, of vertex j's image;
-    mixed-radix arithmetic on np.arange(n), O(p·n).
+    Entry j is the index, among the kept aspects, of vertex j's image: the
+    kept digits of np.arange(n), first aspect fastest, re-encoded. O(p·n).
     """
     tz = sub_companion_tuple(tau, zeta)
-    index = np.arange(composite_vertex_count(tau), dtype=np.int64)
-    image = np.zeros_like(index)
-    weight = 1
-    for digit, s in zip(_digits(index, tau.sizes), tz.sizes):
-        if s:
-            image += digit * weight
-            weight *= s
-    return image
+    digits = np.unravel_index(np.arange(composite_vertex_count(tau)), tau.sizes, order="F")
+    kept = zeta.kept(tau.order)
+    return np.ravel_multi_index([digits[i] for i in kept], tz.restricted().sizes, order="F")
+
+
+def _kept_aspects(aspects: AspectList, zeta: SubDetermination) -> AspectList:
+    """The aspects zeta keeps, in order."""
+    return AspectList(tuple(aspects.aspects[i] for i in zeta.kept(aspects.order)))
 
 
 def sub_determine_mag(mag: Mag, zeta: SubDetermination) -> Mag:
@@ -550,7 +548,7 @@ def sub_determine_mag(mag: Mag, zeta: SubDetermination) -> Mag:
     only in the matrix form. O(n + |E| log |E|).
     """
     image = subdet_image(companion_tuple(mag), zeta)
-    aspects = AspectList(tuple(mag.aspects.aspects[i] for i in zeta.kept(mag.order)))
+    aspects = _kept_aspects(mag.aspects, zeta)
     o, d = image[mag.origin], image[mag.destination]
     keep = o != d
     o, d = o[keep], d[keep]

@@ -28,7 +28,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import Aspect, AspectList, Mag, _finite_positive, _weight_fault, build_mag
+from .core import Aspect, AspectList, Mag, _finite_positive, _label_tables, _weight_fault, build_mag
 from .errors import (
     EdgeArityError,
     EmptyAspectError,
@@ -39,6 +39,7 @@ from .errors import (
     UnknownElementError,
     UnknownExampleError,
 )
+from .matrices import _require_finite
 from .sparse import SparseMatrix
 
 _FORBIDDEN_IN_LABEL = (",", "->", ":", "#", "\n")
@@ -111,12 +112,7 @@ def parse_mag(text: str) -> Mag:
                     raise MagParseError("*edges before any aspect", line=lineno)
                 if tables is not None:
                     raise MagParseError("second *edges section", line=lineno)
-                # label -> position times the aspect's mixed-radix weight, so
-                # an endpoint's composite index is one lookup per aspect, summed
-                tables, weight = [], 1
-                for index in aspect_index:
-                    tables.append({label: i * weight for label, i in index.items()})
-                    weight *= len(index)
+                tables = _label_tables(aspect_index)
             else:
                 raise MagParseError(f"unknown directive {directive!r}", line=lineno)
             continue
@@ -241,7 +237,8 @@ _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 
 def export_matrix_market(matrix: SparseMatrix, destination) -> None:
-    """Write coordinate-format Matrix Market: 1-based, row-major, 17 digits."""
+    """Write coordinate-format Matrix Market (1-based, row-major, 17 digits); nan or inf raises."""
+    _require_finite(matrix)
     rows = matrix.entry_rows + 1
     distinct, which = np.unique(matrix.values, return_inverse=True)
     values = [f"{v:.17g}" for v in distinct.tolist()]  # each distinct value once

@@ -202,7 +202,7 @@ def sub_determination_matrix(tau: CompanionTuple, zeta: SubDetermination) -> Spa
     """m_z x n aggregation matrix: column j has a single 1 in the row of j's image.
 
     Multiplying by it sums per-composite-vertex quantities into the
-    sub-determined vertices; O(n) build.
+    sub-determined vertices; O(p·n) build.
     """
     image = subdet_image(tau, zeta)
     m = composite_vertex_count(sub_companion_tuple(tau, zeta))

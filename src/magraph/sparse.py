@@ -32,8 +32,7 @@ class SparseMatrix:
     def __init__(self, raw):
         """Wrap a scipy.sparse result; outside data goes through from_coo or from_dense."""
         m = raw.tocsr(copy=True).astype(np.float64, copy=False)
-        m.sum_duplicates()
-        m.sort_indices()
+        m.sum_duplicates()  # sorts the indices unless already canonical
         m.eliminate_zeros()
         for array in (m.indptr, m.indices, m.data):
             array.flags.writeable = False
@@ -157,10 +156,8 @@ class SparseMatrix:
 
     def pattern(self, tol: float = ZERO_TOLERANCE) -> "SparseMatrix":
         """0/1 matrix marking entries with |x| >= tol."""
-        m = self._m.copy()
-        keep = np.abs(m.data) >= tol
-        m.data = np.where(keep, 1.0, 0.0)
-        return SparseMatrix(m)
+        data = np.where(np.abs(self._m.data) >= tol, 1.0, 0.0)
+        return SparseMatrix(type(self._m)((data, self._m.indices, self._m.indptr), shape=self.shape))
 
     def component_count(self) -> int:
         """Connected components of the symmetrized nonzero pattern."""

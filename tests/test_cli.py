@@ -112,6 +112,19 @@ def test_degree_algebraic_identical_output(capsys):
     assert [int(r[2]) for r in rows] == list(ref.DEGREE_SUB_TIME_OUT)
 
 
+def test_degree_zeta_labels_bytes(capsys):
+    _, out, _ = run(capsys, "degree", "builtin:T", "--zeta", "110")
+    assert out == (
+        "vertex  in  out  labels\n"
+        "     1   1    5  (Bus,t1)\n"
+        "     2   1    5  (Subway,t1)\n"
+        "     3   5    5  (Bus,t2)\n"
+        "     4   5    5  (Subway,t2)\n"
+        "     5   5    1  (Bus,t3)\n"
+        "     6   5    1  (Subway,t3)\n"
+    )
+
+
 def test_degree_json(capsys):
     code, out, _ = run(
         capsys, "degree", "builtin:T", "--zeta", "011", "--separate-loops", "--json"
@@ -321,6 +334,19 @@ def test_subdet_writes_mag(capsys, tmp_path):
     )
 
 
+def test_subdet_file_bytes(capsys, tmp_path):
+    out_path = tmp_path / "t101.mag"
+    code, _, _ = run(capsys, "subdet", "builtin:T", "--zeta", "101", "-o", str(out_path))
+    assert code == 0
+    edges = (
+        "2,t1 -> 2,t2", "3,t1 -> 3,t2", "1,t1 -> 1,t2", "2,t2 -> 2,t3", "3,t2 -> 3,t3",
+        "1,t2 -> 1,t3", "2,t1 -> 3,t2", "3,t1 -> 2,t2", "1,t1 -> 2,t2", "2,t1 -> 1,t2",
+        "2,t2 -> 3,t3", "3,t2 -> 2,t3", "1,t2 -> 2,t3", "2,t2 -> 1,t3",
+    )
+    header = "*mag T_zeta101\n*aspect Location\n1\n2\n3\n*aspect Time\nt1\nt2\nt3\n*edges\n"
+    assert out_path.read_bytes() == (header + "".join(e + "\n" for e in edges)).encode()
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "dfs", "builtin:T", "--zeta", "011")
     _, second, _ = run(capsys, "dfs", "builtin:T", "--zeta", "011")
@@ -341,6 +367,23 @@ def test_domain_error_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1
     assert "line 6" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--main-components"]])
+def test_export_non_finite_matrix_exits_1(extra, capsys, tmp_path):
+    """Finite weights of 1e308 overflow the weighted Laplacian's diagonal to
+    inf, which read_matrix_market would refuse: export writes no file."""
+    big = tmp_path / "tri.mag"
+    big.write_text(
+        "*mag tri\n*aspect A\na\nb\nc\n*edges\n"
+        "a -> b : 1e308\nb -> c : 1e308\nc -> a : 1e308\n"
+    )
+    out_path = tmp_path / "tri.mtx"
+    code, out, err = run(
+        capsys, "export", str(big), "--matrix", "weighted-laplacian", *extra, "-o", str(out_path)
+    )
+    assert (code, out, err) == (1, "", "error: entry (1,1) = inf is not finite\n")
+    assert not out_path.exists()
 
 
 def test_invalid_zeta_exits_1(capsys):

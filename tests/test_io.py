@@ -10,6 +10,7 @@ from magraph import (
     DuplicateEdgeError,
     EdgeArityError,
     EmptyAspectError,
+    MagError,
     MagParseError,
     NonPositiveWeightError,
     SelfLoopEdgeError,
@@ -188,6 +189,21 @@ def test_export_parse_back_random_values(tmp_path):
     path = tmp_path / "m.mtx"
     export_matrix_market(m, path)
     assert read_matrix_market(path.read_text()) == m
+
+
+def test_export_refuses_non_finite_entries(tmp_path):
+    """read_matrix_market refuses nan and inf, so export writes neither."""
+    from magraph import SparseMatrix
+
+    m = SparseMatrix.from_entries(2, 2, [(0, 0, 1.0), (1, 0, float("inf"))])
+    path = tmp_path / "m.mtx"
+    with pytest.raises(MagError, match=r"^entry \(2,1\) = inf is not finite$"):
+        export_matrix_market(m, path)
+    assert not path.exists()
+    sink = io.StringIO()
+    with pytest.raises(MagError):
+        export_matrix_market(SparseMatrix.from_diagonal([float("nan")]), sink)
+    assert sink.getvalue() == ""
 
 
 def test_read_matrix_market_rejects_garbage():

@@ -6,7 +6,10 @@ MagEdge objects (``mag.edges``) through the scalar indexing functions. Exact
 rank and nullity are compared with dense elimination over Fractions
 (``rank_oracle``) and with the component count of the dense closure. BFS
 order is checked against its contract from the edge arrays alone, and the
-traversals (n <= 300) against the dense closure (``closure_oracle``).
+traversals and the algebraic routes (n <= 300) against the dense closure
+(``closure_oracle``) and the edge-array degrees. The mixed-radix codec
+(``subdet_image``, ``joined_labels``) is checked vertex by vertex against the
+scalar ``vertex_index`` and ``vertex_from_index``.
 """
 
 import math
@@ -19,6 +22,7 @@ from magraph import (
     AspectList,
     CompanionTuple,
     MagEdge,
+    MagError,
     SparseMatrix,
     SubDetermination,
     ZERO_TOLERANCE,
@@ -29,6 +33,7 @@ from magraph import (
     combinatorial_laplacian,
     companion_tuple,
     degree,
+    degree_from_adjacency,
     dfs_sub,
     incidence_matrix,
     matrix_rank,
@@ -37,9 +42,11 @@ from magraph import (
     reachability,
     sub_companion_tuple,
     sub_det_degree,
+    sub_det_degree_from_adjacency,
     sub_determine_edge,
     sub_determine_mag,
     sub_determination_matrix,
+    subdet_image,
     trivial_components,
     vertex_from_index,
     vertex_index,
@@ -60,21 +67,27 @@ WEIGHTS = (0.25, 0.5, 1.5, 2.0, 3.25)
 
 
 @st.composite
-def graphs(draw, max_vertices=MAX_VERTICES):
-    """A random graph and its MagEdge list: 1-4 aspects, n <= max_vertices, up to 3n edges."""
+def aspect_lists(draw, max_vertices=MAX_VERTICES):
+    """1-4 aspects of 1-40 elements each, with n <= max_vertices composite vertices."""
     p = draw(st.integers(1, 4))
     sizes = []
     for _ in range(p):
         room = max_vertices // math.prod(sizes)
         sizes.append(draw(st.integers(1, min(room, 40))))
-    aspects = AspectList(
+    return AspectList(
         tuple(
             Aspect(f"a{k}", tuple(f"e{k}_{i}" for i in range(s)))
             for k, s in enumerate(sizes)
         )
     )
-    tau = CompanionTuple(tuple(sizes))
-    n = math.prod(sizes)
+
+
+@st.composite
+def graphs(draw, max_vertices=MAX_VERTICES):
+    """A random graph and its MagEdge list: 1-4 aspects, n <= max_vertices, up to 3n edges."""
+    aspects = draw(aspect_lists(max_vertices))
+    tau = CompanionTuple(aspects.sizes())
+    n = math.prod(tau.sizes)
     m = draw(st.integers(0, min(3 * n, n * (n - 1))))
     rng = draw(st.randoms(use_true_random=False))
     pairs = {}
@@ -104,6 +117,24 @@ def _coordinates(matrix):
 
 def _zetas(mag):
     return [SubDetermination(mask) for mask in range(1, 2**mag.order - 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(aspect_lists())
+def test_codec_matches_scalar_references(aspects):
+    """numpy's mixed-radix codec against the scalar indexing functions."""
+    tau = CompanionTuple(aspects.sizes())
+    n = math.prod(tau.sizes)
+    numeric = [vertex_from_index(k + 1, tau) for k in range(n)]
+    labels = [",".join(aspects.vertex_from_numeric(x).labels) for x in numeric]
+    index = np.concatenate([np.arange(n)[::-1], np.arange(0, n, 3)])  # unordered, repeated
+    assert aspects.joined_labels(index) == [labels[k] for k in index.tolist()]
+    for mask in range(1, 2**aspects.order - 1):
+        zeta = SubDetermination(mask)
+        image = subdet_image(tau, zeta)
+        tz = sub_companion_tuple(tau, zeta)
+        assert image.dtype == np.int64
+        assert image.tolist() == [vertex_index(x, tz) - 1 for x in numeric]
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,6 +257,35 @@ def test_traversals_match_dense_closure(case, data):
         for u, v in zip(*np.nonzero(aggregated)):
             if projected[root[u], v]:
                 assert disc[v] < fin[u]
+
+
+@settings(max_examples=20, deadline=None)
+@given(graphs(max_vertices=300))
+def test_reachability_routes_match_dense_closure(case):
+    """series equals the closure; inverse equals it or refuses, never differs."""
+    mag, _ = case
+    reach = closure_oracle(dense_adjacency(mag))
+    jm = adjacency_matrix(mag)
+    assert np.array_equal(reachability(jm, "series").pattern.to_dense() > 0, reach)
+    try:
+        inverse = reachability(jm, "inverse").pattern
+    except MagError:
+        return
+    assert np.array_equal(inverse.to_dense() > 0, reach)
+
+
+@settings(max_examples=20, deadline=None)
+@given(graphs(max_vertices=300))
+def test_degree_routes_agree(case):
+    """The edge-array degrees against the algebraic routes, for every zeta."""
+    mag, _ = case
+    jm = adjacency_matrix(mag)
+    assert degree(mag) == degree_from_adjacency(jm)
+    for zeta in _zetas(mag):
+        for separate in (False, True):
+            assert sub_det_degree(mag, zeta, separate) == sub_det_degree_from_adjacency(
+                jm, zeta, separate
+            )
 
 
 # entries k/2^e with k and e spread wide, zeros, and noise below the tolerance
