@@ -239,10 +239,8 @@ def bfs_sub(
 
 def _spectral_bound(matrix: SparseMatrix) -> float:
     """rho below 1/spectral radius: half the inverse max row sum (at least 1)."""
-    if matrix.nnz == 0:
-        return 0.5
     row_sums = matrix.matvec(np.ones(matrix.cols))
-    return 1.0 / (2.0 * max(1.0, float(row_sums.max())))
+    return 1.0 / (2.0 * max(1.0, float(row_sums.max(initial=0.0))))
 
 
 def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
@@ -260,10 +258,11 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     Every method works on the 0/1 pattern J of jm.matrix (entries with
     |x| >= ZERO_TOLERANCE), and rho is taken from J too. method="closure"
     (default, exact at any size) is transitive_closure_pattern, one BFS per
-    vertex; "series" iterates the pattern of I + J + J^2 + ... to its
-    fixpoint (rho plays no part); "inverse" densely inverts I - rho·J (only
-    within the dense cap) and keeps the entries above 0.5·rho^(n-1). All
-    methods produce the same pattern, or "inverse" raises.
+    vertex; "series" grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I,
+    Δ(k+1) = pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is empty,
+    d <= n rounds in O(d·nnz(P) + Σk nnz(Δk·J)), still cubic on a long path;
+    "inverse" densely inverts I - rho·J (only within the dense cap) and keeps
+    the entries above 0.5·rho^(n-1). All methods agree, or "inverse" raises.
 
     The cutoff rests on this: the transpose of I - rho·J is an M-matrix
     with column sums >= 1/2, so LU with partial pivoting makes no row
@@ -279,12 +278,10 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     if method == "closure":
         pattern = transitive_closure_pattern(edges)
     elif method == "series":
-        pattern = SparseMatrix.identity(n)
-        for _ in range(n):
-            grown = (pattern + pattern @ edges).pattern()
-            if grown.nnz == pattern.nnz:
-                break
-            pattern = grown
+        pattern = reached = SparseMatrix.identity(n)
+        while reached.nnz:
+            reached = (reached @ edges).difference(pattern)
+            pattern = pattern + reached
     elif method == "inverse":
         if n > DENSE_CAP:
             raise TooLargeForDenseError(
@@ -292,7 +289,7 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
             )
         walks = np.linalg.inv(np.eye(n) - rho * edges.to_dense().T).T
         pattern = SparseMatrix.from_dense(walks > 0.5 * rho ** max(n - 1, 1))
-        if (pattern + pattern @ edges).pattern().nnz != pattern.nnz:
+        if (pattern @ edges).difference(pattern).nnz:
             raise MagError(
                 f"inverse reachability lost pairs to float underflow (n={n}, rho={rho:.3g})"
             )

@@ -530,6 +530,8 @@ def subdet_image(tau: CompanionTuple, zeta: SubDetermination) -> np.ndarray:
     kept digits of np.arange(n), first aspect fastest, re-encoded. O(p·n).
     """
     tz = sub_companion_tuple(tau, zeta)
+    if not tau.is_full():
+        raise ShapeMismatchError("companion tuple must be full (all sizes >= 1)")
     digits = np.unravel_index(np.arange(composite_vertex_count(tau)), tau.sizes, order="F")
     kept = zeta.kept(tau.order)
     return np.ravel_multi_index([digits[i] for i in kept], tz.restricted().sizes, order="F")

@@ -171,7 +171,7 @@ def combinatorial_laplacian(incidence: SparseMatrix) -> SparseMatrix:
 
 
 def weighted_laplacian(incidence: SparseMatrix, edge_weights: Sequence[float]) -> SparseMatrix:
-    """C^T·W·C with W the diagonal of per-edge finite positive weights (one per row of C)."""
+    """C^T·W·C with W the diagonal of finite positive edge weights, one per row of C; refuses an inf sum."""
     weights = np.asarray(edge_weights, dtype=np.float64)
     if weights.shape != (incidence.rows,):
         raise WeightCountError(
@@ -181,7 +181,7 @@ def weighted_laplacian(incidence: SparseMatrix, edge_weights: Sequence[float]) -
         rule = "finite" if np.all(weights > 0) else "positive"
         raise NonPositiveWeightError(f"edge weights must be {rule}")
     w = SparseMatrix.from_diagonal(weights)
-    return incidence.transpose() @ w @ incidence
+    return _require_finite(incidence.transpose() @ w @ incidence)
 
 
 def normalized_laplacian(incidence: SparseMatrix) -> SparseMatrix:
@@ -225,12 +225,13 @@ def sub_determined_adjacency(adjacency: SparseMatrix, aggregation: SparseMatrix)
     return aggregation @ adjacency @ aggregation.transpose()
 
 
-def _require_finite(matrix: SparseMatrix) -> None:
+def _require_finite(matrix: SparseMatrix) -> SparseMatrix:
     bad = ~np.isfinite(matrix.values)
     if bad.any():
         k = int(bad.argmax())
         r, c = int(matrix.entry_rows[k]) + 1, int(matrix.indices[k]) + 1
         raise MagError(f"entry ({r},{c}) = {float(matrix.values[k])} is not finite")
+    return matrix
 
 
 def matrix_rank(matrix: SparseMatrix) -> int:

@@ -159,6 +159,16 @@ class SparseMatrix:
         data = np.where(np.abs(self._m.data) >= tol, 1.0, 0.0)
         return SparseMatrix(type(self._m)((data, self._m.indices, self._m.indptr), shape=self.shape))
 
+    def difference(self, other: "SparseMatrix") -> "SparseMatrix":
+        """0/1 matrix of the positions in self's pattern that other does not store.
+
+        One merge per row of the two canonical matrices; O(nnz(self) + nnz(other)).
+        """
+        if self.shape != other.shape:
+            raise ShapeMismatchError(f"cannot subtract {other.shape} from {self.shape}")
+        stored = type(other._m)((np.ones(other.nnz), other._m.indices, other._m.indptr), shape=other.shape)
+        return SparseMatrix(self.pattern()._m > stored)
+
     def component_count(self) -> int:
         """Connected components of the symmetrized nonzero pattern."""
         from scipy.sparse import csgraph  # slow to import; only traversals need it

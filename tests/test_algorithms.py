@@ -253,6 +253,26 @@ def _jm(n, edges):
     return MatrixWithTuple(SparseMatrix.from_coo(n, n, o, d, np.ones(len(o))), CompanionTuple((n,)))
 
 
+# query-mix digests these bytes and checks series against closure by digest;
+# the directed path needs the most semi-naive rounds (n)
+@pytest.mark.parametrize("case", ["T", "R", "edgeless", "path"])
+def test_series_bytes_match_closure(case):
+    from magraph import builtin_example
+
+    if case == "edgeless":
+        jm = adjacency_matrix(build_mag([("A", ["a", "b", "c"])], [], "e"))
+    elif case == "path":
+        jm = _jm(400, [(v, v + 1) for v in range(399)])
+    else:
+        jm = adjacency_matrix(builtin_example(case))
+    closure, series = (reachability(jm, method) for method in ("closure", "series"))
+    for want, got in [(closure.pattern.indptr, series.pattern.indptr), (closure.pattern.indices, series.pattern.indices)]:
+        assert want.dtype == got.dtype == np.int64
+        assert want.tobytes() == got.tobytes()
+    assert np.all(series.pattern.values == 1.0)
+    assert series.rho == closure.rho
+
+
 def test_reachability_inverse_with_underflowing_cutoff():
     """At n=400 with a hub of out-degree 60, rho is about 1/120 and the cutoff
     0.5·rho^(n-1) underflows to 0.0; the pattern then rests on unreachable

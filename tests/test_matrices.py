@@ -35,6 +35,7 @@ from magraph import (
     sub_determination_matrix,
     sub_determine_mag,
     sub_determined_adjacency,
+    subdet_image,
     trivial_components,
     weighted_laplacian,
 )
@@ -380,6 +381,14 @@ def test_sub_determined_adjacency_zero():
     assert sub_determined_adjacency(j, agg).nnz == 0
 
 
+# a sub-determined tuple (a 0 entry) used to raise a bare ValueError from
+# np.unravel_index, and before that returned garbage with a RuntimeWarning
+@pytest.mark.parametrize("build", [subdet_image, sub_determination_matrix])
+def test_image_maps_refuse_tuple_that_is_not_full(build):
+    with pytest.raises(ShapeMismatchError, match="must be full"):
+        build(CompanionTuple((3, 0, 2)), SubDetermination(1))
+
+
 def test_sub_determined_adjacency_shape_check(mag_t):
     agg = sub_determination_matrix(
         companion_tuple(mag_t), SubDetermination.from_bits("011")
@@ -432,14 +441,13 @@ def test_rank_and_nullity_refuse_non_finite_entries():
         for f in (matrix_rank, nullspace_dimension):
             with pytest.raises(MagError, match="not finite"):
                 f(m)
-    # the parser accepts weights of 1e308; the Laplacian's diagonal overflows
+    # the parser accepts weights of 1e308; the Laplacian's diagonal overflows and is refused
     tri = parse_mag(
         "*mag tri\n*aspect A\na\nb\nc\n*edges\n"
         "a -> b : 1e308\nb -> c : 1e308\nc -> a : 1e308\n"
     )
-    lap = weighted_laplacian(incidence_matrix(tri)[0].matrix, tri.edge_weights)
     with pytest.raises(MagError, match="not finite"):
-        nullspace_dimension(lap)
+        weighted_laplacian(incidence_matrix(tri)[0].matrix, tri.edge_weights)
 
 
 def test_nullspace_component_fallback_beyond_cap():

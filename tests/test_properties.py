@@ -36,6 +36,7 @@ from magraph import (
     degree_from_adjacency,
     dfs_sub,
     incidence_matrix,
+    mag_from_adjacency,
     matrix_rank,
     nullspace_dimension,
     parse_mag,
@@ -144,6 +145,8 @@ def test_round_trips(case):
     assert mag.edges == edges
     assert parse_mag(write_mag(mag)) == mag
     assert build_mag(mag.aspects, mag.edges, mag.name) == mag
+    jm = adjacency_matrix(mag)
+    assert adjacency_matrix(mag_from_adjacency(jm)) == jm
 
 
 @settings(max_examples=40, deadline=None)

@@ -80,6 +80,28 @@ def test_kernels_match_dense():
         canonical(a + c)
 
 
+def test_difference_matches_dense():
+    """Positions of self's pattern (|x| >= 1e-12) that other does not store."""
+    rng = random.Random(9)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        a = random_sparse(rng, rows, cols)
+        b = random_sparse(rng, rows, cols, density=0.5)
+        # a stored value below the pattern tolerance, and a negative one
+        odd = SparseMatrix.from_entries(rows, cols, [(0, 0, 1e-13), (rows - 1, cols - 1, -3.0)])
+        zero = SparseMatrix.zeros(rows, cols)
+        rest = b.difference(a)
+        assert a.difference(rest) == a.pattern()  # disjoint operands
+        pairs = [(zero, zero), (zero, a), (a, zero), (a, a), (a, b), (b, a), (b + odd, a), (a, odd)]
+        for x, y in pairs:
+            got = x.difference(y)
+            canonical(got)
+            expected = (np.abs(x.to_dense()) >= 1e-12) & (y.to_dense() == 0)
+            assert np.array_equal(got.to_dense(), expected.astype(float))
+    with pytest.raises(ShapeMismatchError):
+        SparseMatrix.zeros(2, 3).difference(SparseMatrix.zeros(3, 2))
+
+
 def test_shape_mismatch():
     a = SparseMatrix.zeros(2, 3)
     b = SparseMatrix.zeros(2, 3)
