@@ -237,6 +237,12 @@ def bfs_sub(
 # reachability
 
 
+# Most cells of the n x n bool block in which "series" looks pairs up (4 MiB,
+# n <= 2048). Above it each round merges against P: splitting the rows into
+# blocks instead would repeat every round once per block.
+_SEEN_CELLS = 1 << 22
+
+
 def _spectral_bound(matrix: SparseMatrix) -> float:
     """rho below 1/spectral radius: half the inverse max row sum (at least 1)."""
     row_sums = matrix.matvec(np.ones(matrix.cols))
@@ -260,7 +266,10 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     (default, exact at any size) is transitive_closure_pattern, one BFS per
     vertex; "series" grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I,
     Δ(k+1) = pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is empty,
-    d <= n rounds in O(d·nnz(P) + Σk nnz(Δk·J)), still cubic on a long path;
+    d <= n rounds. While n·n <= 2^22, Pk is a dense n x n bool block, so
+    "minus Pk" is a lookup: O(n² bytes + Σk nnz(Δk·J)·log n) in all, the log
+    for sorting each product's rows. Above that each round merges against
+    the CSR Pk: O(d·nnz(P) + Σk nnz(Δk·J)·log n), still cubic on a long path.
     "inverse" densely inverts I - rho·J (only within the dense cap) and keeps
     the entries above 0.5·rho^(n-1). All methods agree, or "inverse" raises.
 
@@ -277,6 +286,18 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     rho = _spectral_bound(edges)
     if method == "closure":
         pattern = transitive_closure_pattern(edges)
+    elif method == "series" and n * n <= _SEEN_CELLS:
+        seen = np.eye(n, dtype=bool)
+        reached = SparseMatrix.identity(n)
+        while reached.nnz:
+            step = reached @ edges  # walk counts, so every stored entry is >= 1
+            rows, cols = step.entry_rows, step.indices
+            new = ~seen[rows, cols]
+            rows, cols = rows[new], cols[new]
+            seen[rows, cols] = True
+            reached = SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+        rows, cols = divmod(np.flatnonzero(seen), n)  # row-major, so from_coo need not sort
+        pattern = SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
     elif method == "series":
         pattern = reached = SparseMatrix.identity(n)
         while reached.nnz:

@@ -30,8 +30,9 @@ class SparseMatrix:
     __slots__ = ("_m",)
 
     def __init__(self, raw):
-        """Wrap a scipy.sparse result; outside data goes through from_coo or from_dense."""
-        m = raw.tocsr(copy=True).astype(np.float64, copy=False)
+        """Own a fresh scipy.sparse result, canonicalized in place: no other matrix
+        may hold its arrays. Outside data goes through from_coo or from_dense."""
+        m = raw.tocsr().astype(np.float64, copy=False)
         m.sum_duplicates()  # sorts the indices unless already canonical
         m.eliminate_zeros()
         for array in (m.indptr, m.indices, m.data):
@@ -157,7 +158,8 @@ class SparseMatrix:
     def pattern(self, tol: float = ZERO_TOLERANCE) -> "SparseMatrix":
         """0/1 matrix marking entries with |x| >= tol."""
         data = np.where(np.abs(self._m.data) >= tol, 1.0, 0.0)
-        return SparseMatrix(type(self._m)((data, self._m.indices, self._m.indptr), shape=self.shape))
+        index = (self._m.indices.copy(), self._m.indptr.copy())  # self's arrays are read-only
+        return SparseMatrix(type(self._m)((data, *index), shape=self.shape))
 
     def difference(self, other: "SparseMatrix") -> "SparseMatrix":
         """0/1 matrix of the positions in self's pattern that other does not store.

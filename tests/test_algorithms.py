@@ -253,9 +253,15 @@ def _jm(n, edges):
     return MatrixWithTuple(SparseMatrix.from_coo(n, n, o, d, np.ones(len(o))), CompanionTuple((n,)))
 
 
+def _random_jm(n, edges, seed):
+    rng = random.Random(seed)
+    return _jm(n, sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(edges)}))
+
+
 # query-mix digests these bytes and checks series against closure by digest;
-# the directed path needs the most semi-naive rounds (n)
-@pytest.mark.parametrize("case", ["T", "R", "edgeless", "path"])
+# the directed path needs the most semi-naive rounds (n); series looks pairs
+# up in a bool block while n·n <= 2^22 and merges against P above that
+@pytest.mark.parametrize("case", ["T", "R", "edgeless", "path", "at_limit", "above_limit"])
 def test_series_bytes_match_closure(case):
     from magraph import builtin_example
 
@@ -263,6 +269,10 @@ def test_series_bytes_match_closure(case):
         jm = adjacency_matrix(build_mag([("A", ["a", "b", "c"])], [], "e"))
     elif case == "path":
         jm = _jm(400, [(v, v + 1) for v in range(399)])
+    elif case == "at_limit":
+        jm = _random_jm(2048, 2048, 20)
+    elif case == "above_limit":
+        jm = _random_jm(2100, 300, 21)
     else:
         jm = adjacency_matrix(builtin_example(case))
     closure, series = (reachability(jm, method) for method in ("closure", "series"))
@@ -271,6 +281,21 @@ def test_series_bytes_match_closure(case):
         assert want.tobytes() == got.tobytes()
     assert np.all(series.pattern.values == 1.0)
     assert series.rho == closure.rho
+
+
+@pytest.mark.parametrize("n", [2048, 2100])
+def test_series_bool_block_only_within_limit(n):
+    """The n x n bool block (n² bytes) is allocated while n·n <= 2^22, never above."""
+    import tracemalloc
+
+    jm = _random_jm(n, 300, n)
+    tracemalloc.start()
+    try:
+        reachability(jm, "series")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak >= n * n) == (n * n <= 1 << 22)
 
 
 def test_reachability_inverse_with_underflowing_cutoff():

@@ -265,11 +265,14 @@ def test_traversals_match_dense_closure(case, data):
 @settings(max_examples=20, deadline=None)
 @given(graphs(max_vertices=300))
 def test_reachability_routes_match_dense_closure(case):
-    """series equals the closure; inverse equals it or refuses, never differs."""
+    """series equals the closure byte for byte; inverse equals it or refuses, never differs."""
     mag, _ = case
     reach = closure_oracle(dense_adjacency(mag))
     jm = adjacency_matrix(mag)
-    assert np.array_equal(reachability(jm, "series").pattern.to_dense() > 0, reach)
+    series = reachability(jm, "series").pattern
+    assert np.array_equal(series.to_dense() > 0, reach)
+    assert series.indptr.dtype == series.indices.dtype == np.int64
+    assert series.equals(reachability(jm, "closure").pattern)
     try:
         inverse = reachability(jm, "inverse").pattern
     except MagError:

@@ -102,6 +102,22 @@ def test_difference_matches_dense():
         SparseMatrix.zeros(2, 3).difference(SparseMatrix.zeros(3, 2))
 
 
+def test_kernels_leave_their_operands_unchanged():
+    """pattern, difference and transpose write nothing into their operands' arrays."""
+    a = SparseMatrix.from_entries(3, 4, [(0, 1, 1e-13), (0, 3, 2.0), (1, 0, -1.0), (2, 2, 5.0), (2, 3, 1e-13)])
+    b = random_sparse(random.Random(4), 3, 4, density=0.5)
+
+    def state():
+        return [(x.tobytes(), x.flags.writeable) for m in (a, b) for x in (m.indptr, m.indices, m.values)]
+
+    before = state()
+    for result in (a.pattern(), a.difference(b), b.difference(a), a.transpose()):
+        assert state() == before
+        canonical(result)
+        assert not any(x.flags.writeable for x in (result.indptr, result.indices, result.values))
+    assert a.pattern().nnz == 3
+
+
 def test_shape_mismatch():
     a = SparseMatrix.zeros(2, 3)
     b = SparseMatrix.zeros(2, 3)
