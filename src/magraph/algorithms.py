@@ -130,9 +130,9 @@ def _aggregated_degree(
     jm: MatrixWithTuple, agg: SparseMatrix, tau: CompanionTuple, separate_loops: bool
 ) -> DegreeResult:
     """Algebraic route: M·J^T·1 and M·J·1; selfdegree is the diagonal of M·J·M^T."""
-    ones = np.ones(jm.matrix.cols)
-    indeg = agg.matvec(jm.matrix.transpose().matvec(ones))
-    outdeg = agg.matvec(jm.matrix.matvec(ones))
+    j = jm.matrix
+    indeg = agg.matvec(np.bincount(j.indices, j.values, j.cols))  # J^T·1 as column sums, row-major
+    outdeg = agg.matvec(j.matvec(np.ones(j.cols)))
     if not separate_loops:
         return DegreeResult(_int_tuple(indeg), _int_tuple(outdeg), None, tau)
     selfdeg = sub_determined_adjacency(jm.matrix, agg).diagonal()
@@ -237,9 +237,9 @@ def bfs_sub(
 # reachability
 
 
-# Most cells of the n x n bool block in which "series" looks pairs up (4 MiB,
-# n <= 2048). Above it each round merges against P: splitting the rows into
-# blocks instead would repeat every round once per block.
+# Most cells of the n x n bool block in which "series" looks pairs up and
+# "closure" marks its rows (4 MiB, n <= 2048). Above it each series round merges
+# against P: splitting the rows into blocks would repeat every round per block.
 _SEEN_CELLS = 1 << 22
 
 
@@ -249,9 +249,24 @@ def _spectral_bound(matrix: SparseMatrix) -> float:
     return 1.0 / (2.0 * max(1.0, float(row_sums.max(initial=0.0))))
 
 
+def _block_pattern(seen: np.ndarray) -> SparseMatrix:
+    """0/1 CSR of an n x n bool block, read row-major so from_coo need not sort."""
+    n = len(seen)
+    rows, cols = divmod(np.flatnonzero(seen), n)
+    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+
+
 def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
-    """Reflexive-transitive closure pattern of a square matrix; one BFS per row, O(n·(n+nnz))."""
+    """Reflexive-transitive closure pattern of a square matrix; one BFS per row, O(n·(n+nnz)).
+
+    Each BFS marks its row of a bool block while n·n <= 2^22; above, from_coo sorts the BFS orders.
+    """
     n = _square_size(matrix)
+    if n * n <= _SEEN_CELLS:
+        seen = np.zeros((n, n), dtype=bool)
+        for s in range(n):
+            seen[s, matrix.breadth_first_order(s)[0]] = True
+        return _block_pattern(seen)
     reached = [matrix.breadth_first_order(s)[0] for s in range(n)]
     rows = np.repeat(np.arange(n), [len(r) for r in reached])
     cols = np.concatenate([np.empty(0, np.int64), *reached])
@@ -267,9 +282,9 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     vertex; "series" grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I,
     Δ(k+1) = pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is empty,
     d <= n rounds. While n·n <= 2^22, Pk is a dense n x n bool block, so
-    "minus Pk" is a lookup: O(n² bytes + Σk nnz(Δk·J)·log n) in all, the log
-    for sorting each product's rows. Above that each round merges against
-    the CSR Pk: O(d·nnz(P) + Σk nnz(Δk·J)·log n), still cubic on a long path.
+    "minus Pk" is a lookup: O(n² bytes + Σk Fk·log Fk) in all, Fk >= nnz(Δk·J)
+    the scalar products that Δk·J sorts. Above that each round merges against
+    the CSR Pk: O(d·nnz(P)·log nnz(P) + Σk Fk·log Fk), still cubic on a long path.
     "inverse" densely inverts I - rho·J (only within the dense cap) and keeps
     the entries above 0.5·rho^(n-1). All methods agree, or "inverse" raises.
 
@@ -296,8 +311,7 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
             rows, cols = rows[new], cols[new]
             seen[rows, cols] = True
             reached = SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
-        rows, cols = divmod(np.flatnonzero(seen), n)  # row-major, so from_coo need not sort
-        pattern = SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+        pattern = _block_pattern(seen)
     elif method == "series":
         pattern = reached = SparseMatrix.identity(n)
         while reached.nnz:
@@ -308,12 +322,13 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
             raise TooLargeForDenseError(
                 f"inverse method needs a dense {n}x{n} solve (cap {DENSE_CAP})"
             )
-        walks = np.linalg.inv(np.eye(n) - rho * edges.to_dense().T).T
-        pattern = SparseMatrix.from_dense(walks > 0.5 * rho ** max(n - 1, 1))
-        if (pattern @ edges).difference(pattern).nnz:
+        dense = edges.to_dense()
+        reached = np.linalg.inv(np.eye(n) - rho * dense.T).T > 0.5 * rho ** max(n - 1, 1)
+        if np.any((reached @ dense > 0) & ~reached):  # not closed under J
             raise MagError(
                 f"inverse reachability lost pairs to float underflow (n={n}, rho={rho:.3g})"
             )
+        pattern = SparseMatrix.from_dense(reached)
     else:
         raise ValueError(f"method must be closure|series|inverse, got {method!r}")
     return ReachabilityMatrix(pattern, rho)

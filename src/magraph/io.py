@@ -293,7 +293,8 @@ def read_matrix_market(source: str | TextIO) -> SparseMatrix:
         if not math.isfinite(value):
             raise MagParseError(f"entry {ln!r} is not finite", line=lineno)
         entries.append((r, c, value))
-    return SparseMatrix.from_entries(rows, cols, entries)
+    ii, jj, vv = zip(*entries) if entries else ((), (), ())
+    return SparseMatrix.from_coo(rows, cols, ii, jj, vv)
 
 
 # ---------------------------------------------------------------------------

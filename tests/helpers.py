@@ -17,9 +17,33 @@ from magraph import (
     AspectList,
     CompanionTuple,
     MagEdge,
+    SparseMatrix,
     build_mag,
     vertex_from_index,
 )
+
+
+def from_entries(rows, cols, entries):
+    """SparseMatrix of 0-based (row, col, value) triplets; duplicates are summed."""
+    triples = list(entries)
+    ii, jj, vv = zip(*triples) if triples else ((), (), ())
+    return SparseMatrix.from_coo(rows, cols, ii, jj, vv)
+
+
+def zeros(rows, cols):
+    return SparseMatrix.from_coo(rows, cols, [], [], [])
+
+
+def entry(matrix, i, j) -> float:
+    """Stored value at (i, j), or 0.0, by a search of row i."""
+    cols, vals = matrix.row(i)
+    k = np.searchsorted(cols, j)
+    return float(vals[k]) if k < len(cols) and cols[k] == j else 0.0
+
+
+def allclose(a, b, tol=ZERO_TOLERANCE) -> bool:
+    """Same shape, and every entry within tol (absent entries are zero)."""
+    return a.shape == b.shape and np.allclose(a.to_dense(), b.to_dense(), rtol=0, atol=tol)
 
 
 def random_mag(rng: random.Random, p=None, max_size=4, density=0.3, weights=False,

@@ -40,7 +40,7 @@ from magraph import (
     weighted_laplacian,
 )
 import expected_builtin as ref
-from helpers import closure_oracle, dense_adjacency, hop_counts_oracle, random_mag
+from helpers import closure_oracle, dense_adjacency, entry, hop_counts_oracle, random_mag
 
 INF = math.inf
 T = builtin_example("T")
@@ -190,9 +190,9 @@ def test_c10_sub_determined_bfs():
     agg = sub_determination_matrix(jm_r.tau, SubDetermination.from_bits("01"))
     reach = reachability(jm_r, "closure").pattern
     projected = (agg @ reach @ agg.transpose()).pattern(1e-12)
-    assert projected.entry(0, 2) == 0.0
+    assert entry(projected, 0, 2) == 0.0
     collapsed = sub_determined_adjacency(jm_r.matrix, agg).pattern(1e-12)
-    assert transitive_closure_pattern(collapsed).entry(0, 2) != 0.0
+    assert entry(transitive_closure_pattern(collapsed), 0, 2) != 0.0
     print("criterion 10 pass: sub-determined BFS triples and spurious-path split")
 
 

@@ -38,6 +38,7 @@ from helpers import (
     check_dfs_structure,
     closure_oracle,
     dense_adjacency,
+    entry,
     hop_counts_oracle,
     random_mag,
 )
@@ -423,7 +424,7 @@ def test_bfs_sub_spurious_path_discriminator(mag_r):
     assert projected[0, 2] == 0
     collapsed = sub_determined_adjacency(jm.matrix, agg)
     collapsed_closure = transitive_closure_pattern(collapsed.pattern())
-    assert collapsed_closure.entry(0, 2) > 0
+    assert entry(collapsed_closure, 0, 2) > 0
 
 
 def test_bfs_sub_soundness_small():

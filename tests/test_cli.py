@@ -467,16 +467,29 @@ def test_commands_never_build_edge_objects(argv, capsys, tmp_path, monkeypatch):
 
 
 def test_validate_leaves_csgraph_unimported(tmp_path):
-    """scipy.sparse takes about 0.25 s to import, and its csgraph 0.15 s more
-    (mostly scipy.sparse.linalg). Commands that build no matrix load neither;
-    only traversals and component counts load csgraph."""
+    """scipy.sparse takes about 0.2 s to import, and its csgraph 0.15 s more
+    (mostly scipy.sparse.linalg). Matrices are numpy, so only traversals and
+    component counts load either: building the adjacency matrix and the three
+    Laplacians in process, exporting every matrix kind, the algebraic degrees
+    and a plain DFS load neither."""
     out = str(tmp_path / "sub.mag")
+    exports = [
+        ["export", "builtin:T", "--matrix", kind, "-o", out]
+        for kind in ("adjacency", "incidence", "laplacian", "weighted-laplacian",
+                     "normalized-laplacian", "elimination")
+    ]
     commands = [
         ["validate", "builtin:T"],
         ["info", "builtin:T"],
         ["degree", "builtin:T"],
         ["degree", "builtin:T", "--zeta", "011"],
         ["degree", "builtin:R", "--zeta", "01", "--separate-loops"],
+        ["degree", "builtin:T", "--algebraic"],
+        ["degree", "builtin:R", "--zeta", "01", "--separate-loops", "--algebraic"],
+        ["dfs", "builtin:T"],
+        *exports,
+        ["export", "builtin:T", "--matrix", "subdet-adjacency", "--zeta", "011", "-o", out],
+        ["export", "builtin:T", "--matrix", "laplacian", "--main-components", "-o", out],
         ["subdet", "builtin:T", "--zeta", "011", "--output", out],
         ["validate", out],
         ["bfs", "builtin:T", "--source", "2,Bus,t1"],
@@ -487,6 +500,13 @@ def test_validate_leaves_csgraph_unimported(tmp_path):
         "def loaded():\n"
         "    return [m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.csgraph')]\n"
         "seen = [loaded()]\n"
+        "mag = magraph.builtin_example('T')\n"
+        "magraph.adjacency_matrix(mag)\n"
+        "c = magraph.incidence_matrix(mag)[0].matrix\n"
+        "magraph.combinatorial_laplacian(c)\n"
+        "magraph.weighted_laplacian(c, mag.edge_weights)\n"
+        "magraph.normalized_laplacian(c)\n"
+        "seen.append(loaded())\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = magraph.cli.main(argv)\n"
@@ -500,4 +520,4 @@ def test_validate_leaves_csgraph_unimported(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == [[False, False]] + [[0, False, False]] * 7 + [[0, True, True]]
+    assert json.loads(child.stdout) == [[False, False]] * 2 + [[0, False, False]] * 18 + [[0, True, True]]

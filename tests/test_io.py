@@ -30,7 +30,7 @@ from magraph import (
     write_mag,
 )
 import expected_builtin as ref
-from helpers import random_mag
+from helpers import from_entries, random_mag, zeros
 
 SAMPLE = """\
 # two locations, two times
@@ -166,7 +166,7 @@ def test_export_zero_matrix():
     from magraph import SparseMatrix
 
     sink = io.StringIO()
-    export_matrix_market(SparseMatrix.zeros(4, 3), sink)
+    export_matrix_market(zeros(4, 3), sink)
     assert sink.getvalue() == "%%MatrixMarket matrix coordinate real general\n4 3 0\n"
 
 
@@ -185,7 +185,7 @@ def test_export_parse_back_random_values(tmp_path):
     entries = [
         (rng.randint(0, 9), rng.randint(0, 7), rng.uniform(-3, 3)) for _ in range(30)
     ]
-    m = SparseMatrix.from_entries(10, 8, entries)
+    m = from_entries(10, 8, entries)
     path = tmp_path / "m.mtx"
     export_matrix_market(m, path)
     assert read_matrix_market(path.read_text()) == m
@@ -195,7 +195,7 @@ def test_export_refuses_non_finite_entries(tmp_path):
     """read_matrix_market refuses nan and inf, so export writes neither."""
     from magraph import SparseMatrix
 
-    m = SparseMatrix.from_entries(2, 2, [(0, 0, 1.0), (1, 0, float("inf"))])
+    m = from_entries(2, 2, [(0, 0, 1.0), (1, 0, float("inf"))])
     path = tmp_path / "m.mtx"
     with pytest.raises(MagError, match=r"^entry \(2,1\) = inf is not finite$"):
         export_matrix_market(m, path)

@@ -40,7 +40,7 @@ from magraph import (
     weighted_laplacian,
 )
 import expected_builtin as ref
-from helpers import random_mag
+from helpers import from_entries, random_mag, zeros
 
 
 def as_dense(m):
@@ -82,7 +82,7 @@ def test_mag_from_adjacency_t(mag_t):
 
 
 def test_mag_from_adjacency_zero():
-    jm = MatrixWithTuple(SparseMatrix.zeros(6, 6), CompanionTuple((3, 2)))
+    jm = MatrixWithTuple(zeros(6, 6), CompanionTuple((3, 2)))
     assert mag_from_adjacency(jm).edges == ()
 
 
@@ -96,7 +96,7 @@ def test_mag_from_adjacency_random_round_trip():
             for j in range(8)
             if i != j and rng.random() < 0.3
         ]
-        jm = MatrixWithTuple(SparseMatrix.from_entries(8, 8, entries), tau)
+        jm = MatrixWithTuple(from_entries(8, 8, entries), tau)
         again = adjacency_matrix(mag_from_adjacency(jm))
         assert again.matrix == jm.matrix and again.tau == tau
 
@@ -104,11 +104,11 @@ def test_mag_from_adjacency_random_round_trip():
 def test_mag_from_adjacency_rejects_bad_input():
     tau = CompanionTuple((2, 2))
     with pytest.raises(ShapeMismatchError):
-        mag_from_adjacency(MatrixWithTuple(SparseMatrix.zeros(3, 3), tau))
-    loop = SparseMatrix.from_entries(4, 4, [(1, 1, 1.0)])
+        mag_from_adjacency(MatrixWithTuple(zeros(3, 3), tau))
+    loop = from_entries(4, 4, [(1, 1, 1.0)])
     with pytest.raises(NonzeroDiagonalError):
         mag_from_adjacency(MatrixWithTuple(loop, tau))
-    frac = SparseMatrix.from_entries(4, 4, [(0, 1, 0.5)])
+    frac = from_entries(4, 4, [(0, 1, 0.5)])
     with pytest.raises(NonBinaryEntryError):
         mag_from_adjacency(MatrixWithTuple(frac, tau))
 
@@ -376,7 +376,7 @@ def test_sub_determined_adjacency_displays(mag_t):
 
 
 def test_sub_determined_adjacency_zero():
-    j = SparseMatrix.zeros(6, 6)
+    j = zeros(6, 6)
     agg = sub_determination_matrix(CompanionTuple((3, 2)), SubDetermination.from_bits("01"))
     assert sub_determined_adjacency(j, agg).nnz == 0
 
@@ -394,7 +394,7 @@ def test_sub_determined_adjacency_shape_check(mag_t):
         companion_tuple(mag_t), SubDetermination.from_bits("011")
     )
     with pytest.raises(ShapeMismatchError):
-        sub_determined_adjacency(SparseMatrix.zeros(4, 4), agg)
+        sub_determined_adjacency(zeros(4, 4), agg)
 
 
 def test_sub_determined_mag_t_locmode_pattern(mag_t):

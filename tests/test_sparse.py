@@ -1,11 +1,15 @@
-"""CSR storage invariants and kernels, checked against dense numpy."""
+"""CSR storage invariants and kernels, checked against dense numpy and,
+byte for byte, against scipy.sparse as a test-only oracle."""
 
 import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from magraph import ShapeMismatchError, SparseMatrix, TooLargeForDenseError
+from helpers import allclose, entry, from_entries, zeros
+from magraph import IndexOutOfRangeError, MagError, ShapeMismatchError, SparseMatrix, TooLargeForDenseError
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -15,7 +19,7 @@ def random_sparse(rng, rows, cols, density=0.3):
         for j in range(cols)
         if rng.random() < density
     ]
-    return SparseMatrix.from_entries(rows, cols, entries)
+    return from_entries(rows, cols, entries)
 
 
 def canonical(matrix):
@@ -29,15 +33,15 @@ def canonical(matrix):
 
 
 def test_duplicates_summed_and_sorted():
-    m = SparseMatrix.from_entries(2, 3, [(0, 2, 1.0), (0, 0, 2.0), (0, 2, 3.0)])
+    m = from_entries(2, 3, [(0, 2, 1.0), (0, 0, 2.0), (0, 2, 3.0)])
     canonical(m)
-    assert m.entry(0, 2) == 4.0
-    assert m.entry(0, 0) == 2.0
+    assert entry(m, 0, 2) == 4.0
+    assert entry(m, 0, 0) == 2.0
     assert m.nnz == 2
 
 
 def test_explicit_zeros_dropped():
-    m = SparseMatrix.from_entries(2, 2, [(0, 1, 0.0), (1, 0, 1.0), (0, 0, 1.0), (0, 0, -1.0)])
+    m = from_entries(2, 2, [(0, 1, 0.0), (1, 0, 1.0), (0, 0, 1.0), (0, 0, -1.0)])
     canonical(m)
     assert m.nnz == 1
 
@@ -45,7 +49,7 @@ def test_explicit_zeros_dropped():
 def test_builders():
     eye = SparseMatrix.identity(3)
     assert np.array_equal(eye.to_dense(), np.eye(3))
-    z = SparseMatrix.zeros(2, 5)
+    z = zeros(2, 5)
     assert z.nnz == 0 and z.shape == (2, 5)
     d = SparseMatrix.from_diagonal([1.0, 0.0, 2.0])
     assert np.array_equal(d.to_dense(), np.diag([1.0, 0.0, 2.0]))
@@ -55,12 +59,12 @@ def test_builders():
     assert eye.equals(dense(np.eye(3)))
     assert SparseMatrix.identity(0).equals(dense(np.zeros((0, 0))))
     assert z.equals(dense(np.zeros((2, 5))))
-    assert SparseMatrix.zeros(0, 4).equals(dense(np.zeros((0, 4))))
+    assert zeros(0, 4).equals(dense(np.zeros((0, 4))))
     assert d.equals(dense(np.diag([1.0, 0.0, 2.0])))
     entries = [(1, 2, 3.0), (0, 0, -1.0), (1, 2, 1.0), (0, 1, 0.0)]
     expected = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
-    assert SparseMatrix.from_entries(2, 3, entries).equals(dense(expected))
-    assert SparseMatrix.from_entries(2, 3, iter([])).equals(dense(np.zeros((2, 3))))
+    assert from_entries(2, 3, entries).equals(dense(expected))
+    assert from_entries(2, 3, iter([])).equals(dense(np.zeros((2, 3))))
 
 
 def test_kernels_match_dense():
@@ -88,8 +92,8 @@ def test_difference_matches_dense():
         a = random_sparse(rng, rows, cols)
         b = random_sparse(rng, rows, cols, density=0.5)
         # a stored value below the pattern tolerance, and a negative one
-        odd = SparseMatrix.from_entries(rows, cols, [(0, 0, 1e-13), (rows - 1, cols - 1, -3.0)])
-        zero = SparseMatrix.zeros(rows, cols)
+        odd = from_entries(rows, cols, [(0, 0, 1e-13), (rows - 1, cols - 1, -3.0)])
+        zero = zeros(rows, cols)
         rest = b.difference(a)
         assert a.difference(rest) == a.pattern()  # disjoint operands
         pairs = [(zero, zero), (zero, a), (a, zero), (a, a), (a, b), (b, a), (b + odd, a), (a, odd)]
@@ -99,12 +103,12 @@ def test_difference_matches_dense():
             expected = (np.abs(x.to_dense()) >= 1e-12) & (y.to_dense() == 0)
             assert np.array_equal(got.to_dense(), expected.astype(float))
     with pytest.raises(ShapeMismatchError):
-        SparseMatrix.zeros(2, 3).difference(SparseMatrix.zeros(3, 2))
+        zeros(2, 3).difference(zeros(3, 2))
 
 
 def test_kernels_leave_their_operands_unchanged():
     """pattern, difference and transpose write nothing into their operands' arrays."""
-    a = SparseMatrix.from_entries(3, 4, [(0, 1, 1e-13), (0, 3, 2.0), (1, 0, -1.0), (2, 2, 5.0), (2, 3, 1e-13)])
+    a = from_entries(3, 4, [(0, 1, 1e-13), (0, 3, 2.0), (1, 0, -1.0), (2, 2, 5.0), (2, 3, 1e-13)])
     b = random_sparse(random.Random(4), 3, 4, density=0.5)
 
     def state():
@@ -119,37 +123,37 @@ def test_kernels_leave_their_operands_unchanged():
 
 
 def test_shape_mismatch():
-    a = SparseMatrix.zeros(2, 3)
-    b = SparseMatrix.zeros(2, 3)
+    a = zeros(2, 3)
+    b = zeros(2, 3)
     with pytest.raises(ShapeMismatchError):
         a @ b
     with pytest.raises(ShapeMismatchError):
-        a + SparseMatrix.zeros(3, 2)
+        a + zeros(3, 2)
     with pytest.raises(ShapeMismatchError):
         a.matvec(np.ones(2))
 
 
 def test_pattern_threshold():
-    m = SparseMatrix.from_entries(1, 3, [(0, 0, 1e-13), (0, 1, -2.0), (0, 2, 1e-11)])
+    m = from_entries(1, 3, [(0, 0, 1e-13), (0, 1, -2.0), (0, 2, 1e-11)])
     p = m.pattern()
-    assert p.entry(0, 0) == 0.0
-    assert p.entry(0, 1) == 1.0
-    assert p.entry(0, 2) == 1.0
+    assert entry(p, 0, 0) == 0.0
+    assert entry(p, 0, 1) == 1.0
+    assert entry(p, 0, 2) == 1.0
     canonical(p)
 
 
 def test_equality_and_allclose():
-    a = SparseMatrix.from_entries(2, 2, [(0, 1, 1.0)])
-    b = SparseMatrix.from_entries(2, 2, [(0, 1, 1.0)])
-    c = SparseMatrix.from_entries(2, 2, [(0, 1, 1.0 + 1e-14)])
+    a = from_entries(2, 2, [(0, 1, 1.0)])
+    b = from_entries(2, 2, [(0, 1, 1.0)])
+    c = from_entries(2, 2, [(0, 1, 1.0 + 1e-14)])
     assert a == b
     assert a != c
-    assert a.allclose(c)
-    assert not a.allclose(SparseMatrix.zeros(2, 2))
+    assert allclose(a, c)
+    assert not allclose(a, zeros(2, 2))
 
 
 def test_row_access():
-    m = SparseMatrix.from_entries(3, 4, [(1, 3, 5.0), (1, 0, 2.0)])
+    m = from_entries(3, 4, [(1, 3, 5.0), (1, 0, 2.0)])
     cols, vals = m.row(1)
     assert list(cols) == [0, 3]
     assert list(vals) == [2.0, 5.0]
@@ -157,7 +161,7 @@ def test_row_access():
 
 
 def test_dense_cap():
-    big = SparseMatrix.zeros(600, 600)
+    big = zeros(600, 600)
     with pytest.raises(TooLargeForDenseError):
         big.to_dense()
 
@@ -168,3 +172,87 @@ def test_immutability():
         m.rows = 3
     with pytest.raises(ValueError):
         m.values[0] = 5.0
+
+
+@pytest.mark.parametrize("array", [[1.0, 0.0, 2.0], np.zeros((2, 2, 2)), 3.0])
+def test_from_dense_refuses_other_than_two_dimensions(array):
+    with pytest.raises(ShapeMismatchError):
+        SparseMatrix.from_dense(array)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, values, error",
+    [
+        ([-1], [0], [1.0], IndexOutOfRangeError),
+        ([0], [-1], [1.0], IndexOutOfRangeError),
+        ([2], [0], [1.0], IndexOutOfRangeError),
+        ([0], [2], [1.0], IndexOutOfRangeError),
+        ([0, 1], [0], [1.0, 1.0], ShapeMismatchError),
+        ([0], [0], [1.0, 2.0], ShapeMismatchError),
+    ],
+)
+def test_from_coo_refuses_bad_indices(rows, cols, values, error):
+    with pytest.raises(error):
+        SparseMatrix.from_coo(2, 2, rows, cols, values)
+
+
+def test_from_coo_refuses_shapes_beyond_int64_keys():
+    with pytest.raises(MagError, match="int64"):
+        SparseMatrix.from_coo(3, 1 << 62, [0], [0], [1.0])
+
+
+# Values with exact zeros of both signs, entries below the pattern tolerance,
+# and sums that cancel. At most 16 triplets: scipy sorts a row's duplicates
+# with std::sort, which keeps their input order only up to 16 entries.
+VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1e-13)) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def coo(draw, rows=None, cols=None):
+    """A SparseMatrix from random triplets, with scipy's canonical CSR of the same triplets."""
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    cell = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)), VALUES)
+    triples = draw(st.lists(cell, max_size=16 if rows and cols else 0))
+    i, j, v = (np.array(x, dtype=t) for x, t in zip(list(zip(*triples)) or [(), (), ()], (np.int64, np.int64, float)))
+    return SparseMatrix.from_coo(rows, cols, i, j, v), scipy_canonical(sp.coo_array((v, (i, j)), shape=(rows, cols)))
+
+
+def scipy_canonical(matrix):
+    m = matrix.tocsr().astype(np.float64)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
+
+
+def assert_same(ours, ref, index=np.int64):
+    """Equal index values and value bytes; the index dtype is given (scipy makes an empty CSR int32)."""
+    ref = scipy_canonical(ref)
+    assert ours.shape == ref.shape
+    assert ours.indptr.tolist() == ref.indptr.tolist()
+    assert ours.indices.tolist() == ref.indices.tolist()
+    assert ours.values.tobytes() == ref.data.tobytes()
+    assert ours.indptr.dtype == ours.indices.dtype == index
+    assert not ref.nnz or ref.indptr.dtype == ref.indices.dtype == index
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo(), st.data())
+def test_kernels_match_scipy_bytes(pair, data):
+    a, sa = pair
+    b, sb = data.draw(coo(rows=a.cols))
+    c, sc = data.draw(coo(rows=a.rows, cols=a.cols))
+    assert_same(a, sa)
+    assert_same(a.transpose(), sa.T)
+    assert_same(a @ b, sa @ sb)
+    assert_same(a + c, sa + sc)
+    ref = sa.copy()
+    ref.data = np.where(np.abs(ref.data) >= 1e-12, 1.0, 0.0)
+    assert_same(a.pattern(), ref)
+    stored = sp.csr_array((np.ones(sc.nnz), sc.indices, sc.indptr), shape=sc.shape)
+    assert_same(a.difference(c), ref > stored)
+    x = np.array(data.draw(st.lists(VALUES, min_size=a.cols, max_size=a.cols)), dtype=float)
+    assert a.matvec(x).tobytes() == (sa @ x).tobytes()
+    assert a.diagonal().tobytes() == sa.diagonal().tobytes()
+    assert a.to_dense().tobytes() == sa.toarray().tobytes()
+    assert_same(SparseMatrix.from_dense(sa.toarray()), sp.csr_array(sa.toarray()), np.int32)
