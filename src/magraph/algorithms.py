@@ -209,8 +209,9 @@ def _with_virtual_sources(
     size = composite_vertex_count(tz)
     image = subdet_image(jm.tau, zeta)
     n = jm.matrix.rows
-    rows = np.concatenate([jm.matrix.entry_rows, n + image])
-    cols = np.concatenate([jm.matrix.indices, np.arange(n)])
+    preimage = np.argsort(image, kind="stable")  # virtual rows ascend, so from_coo need not sort
+    rows = np.concatenate([jm.matrix.entry_rows, n + image[preimage]])
+    cols = np.concatenate([jm.matrix.indices, preimage])
     graph = SparseMatrix.from_coo(n + size, n + size, rows, cols, np.ones(len(rows)))
     return graph, np.concatenate([image, np.arange(size)]), tz
 
@@ -237,9 +238,9 @@ def bfs_sub(
 # reachability
 
 
-# Most cells of the n x n bool block in which "series" looks pairs up and
-# "closure" marks its rows (4 MiB, n <= 2048). Above it each series round merges
-# against P: splitting the rows into blocks would repeat every round per block.
+# Most cells of one bool block of reachability rows (4 MiB): both routes mark
+# P in row blocks of max(1, 2^22 // n) rows, one block while n <= 2048. Each
+# block repeats series' per-round overhead, so more blocks cost more rounds.
 _SEEN_CELLS = 1 << 22
 
 
@@ -249,28 +250,50 @@ def _spectral_bound(matrix: SparseMatrix) -> float:
     return 1.0 / (2.0 * max(1.0, float(row_sums.max(initial=0.0))))
 
 
-def _block_pattern(seen: np.ndarray) -> SparseMatrix:
-    """0/1 CSR of an n x n bool block, read row-major so from_coo need not sort."""
-    n = len(seen)
-    rows, cols = divmod(np.flatnonzero(seen), n)
+def _blocked_pattern(n: int, mark) -> SparseMatrix:
+    """0/1 n x n CSR built in bool blocks of max(1, 2^22 // n) rows, one at a time.
+
+    mark(lo, seen) sets seen[i, v] for each v that row lo + i reaches. Each
+    block reads back row-major, so from_coo need not sort, and the blocks'
+    keys are freed before it runs, which keeps its peak down.
+    """
+    height = max(1, _SEEN_CELLS // max(n, 1))
+
+    def block(lo: int) -> np.ndarray:
+        seen = np.zeros((min(height, n - lo), n), dtype=bool)
+        mark(lo, seen)
+        return np.flatnonzero(seen) + lo * n
+
+    rows, cols = divmod(np.concatenate([np.empty(0, np.int64), *map(block, range(0, n, height))]), n)
     return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
 
 
 def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
-    """Reflexive-transitive closure pattern of a square matrix; one BFS per row, O(n·(n+nnz)).
+    """Reflexive-transitive closure pattern of a square matrix; one BFS per row, O(n·(n+nnz))."""
 
-    Each BFS marks its row of a bool block while n·n <= 2^22; above, from_coo sorts the BFS orders.
-    """
-    n = _square_size(matrix)
-    if n * n <= _SEEN_CELLS:
-        seen = np.zeros((n, n), dtype=bool)
-        for s in range(n):
-            seen[s, matrix.breadth_first_order(s)[0]] = True
-        return _block_pattern(seen)
-    reached = [matrix.breadth_first_order(s)[0] for s in range(n)]
-    rows = np.repeat(np.arange(n), [len(r) for r in reached])
-    cols = np.concatenate([np.empty(0, np.int64), *reached])
-    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+    def mark(lo: int, seen: np.ndarray) -> None:
+        for source, row in enumerate(seen, lo):
+            row[matrix.breadth_first_order(source)[0]] = True
+
+    return _blocked_pattern(_square_size(matrix), mark)
+
+
+def _series_pattern(edges: SparseMatrix) -> SparseMatrix:
+    """I + J + J^2 + ... semi-naively, each row block in its own rounds."""
+    n = edges.rows
+
+    def mark(lo: int, seen: np.ndarray) -> None:
+        rows = np.arange(len(seen))
+        cols = lo + rows  # Δ0: the block's rows of I
+        while len(rows):
+            seen[rows, cols] = True
+            reached = SparseMatrix.from_coo(len(seen), n, rows, cols, np.ones(len(rows)))
+            step = reached @ edges  # walk counts, so every stored entry is >= 1
+            rows, cols = step.entry_rows, step.indices
+            new = ~seen[rows, cols]
+            rows, cols = rows[new], cols[new]
+
+    return _blocked_pattern(n, mark)
 
 
 def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMatrix:
@@ -278,13 +301,14 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
 
     Every method works on the 0/1 pattern J of jm.matrix (entries with
     |x| >= ZERO_TOLERANCE), and rho is taken from J too. method="closure"
-    (default, exact at any size) is transitive_closure_pattern, one BFS per
-    vertex; "series" grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I,
-    Δ(k+1) = pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is empty,
-    d <= n rounds. While n·n <= 2^22, Pk is a dense n x n bool block, so
-    "minus Pk" is a lookup: O(n² bytes + Σk Fk·log Fk) in all, Fk >= nnz(Δk·J)
-    the scalar products that Δk·J sorts. Above that each round merges against
-    the CSR Pk: O(d·nnz(P)·log nnz(P) + Σk Fk·log Fk), still cubic on a long path.
+    (default) is transitive_closure_pattern, one BFS per vertex; "series"
+    grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I, Δ(k+1) =
+    pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is empty, d <= n
+    rounds. Both mark P in bool blocks of max(1, 2^22 // n) rows, so
+    "minus Pk" is a lookup, and each block runs its own rounds on its rows of
+    Δ: O(n² bool cells + Σ_blocks Σk Fk·log Fk) in all, Fk >= nnz(Δk·J) the
+    scalar products that Δk·J sorts, plus in every round of every block a
+    few numpy calls and O(block rows).
     "inverse" densely inverts I - rho·J (only within the dense cap) and keeps
     the entries above 0.5·rho^(n-1). All methods agree, or "inverse" raises.
 
@@ -301,22 +325,8 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     rho = _spectral_bound(edges)
     if method == "closure":
         pattern = transitive_closure_pattern(edges)
-    elif method == "series" and n * n <= _SEEN_CELLS:
-        seen = np.eye(n, dtype=bool)
-        reached = SparseMatrix.identity(n)
-        while reached.nnz:
-            step = reached @ edges  # walk counts, so every stored entry is >= 1
-            rows, cols = step.entry_rows, step.indices
-            new = ~seen[rows, cols]
-            rows, cols = rows[new], cols[new]
-            seen[rows, cols] = True
-            reached = SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
-        pattern = _block_pattern(seen)
     elif method == "series":
-        pattern = reached = SparseMatrix.identity(n)
-        while reached.nnz:
-            reached = (reached @ edges).difference(pattern)
-            pattern = pattern + reached
+        pattern = _series_pattern(edges)
     elif method == "inverse":
         if n > DENSE_CAP:
             raise TooLargeForDenseError(
@@ -343,12 +353,14 @@ def _dfs_forest(matrix: SparseMatrix, may_enter, tau: CompanionTuple) -> DfsResu
 
     may_enter(root) returns the gate v -> bool on tree membership; the
     explicit stack reproduces the recursive visit's timestamps exactly, and
-    a vertex is unvisited while its discovery time is -1. Not csgraph's
+    a vertex is unvisited while its discovery time is -1. Rows are slices of
+    the CSR arrays turned into lists once, not numpy scalars. Not csgraph's
     depth_first_order: it rescans a row on every return (a star of 80k leaves
     took 3.4 s, this loop 0.28 s), a super-root over 40k isolated vertices
     took 1.0 s, and it gives no finish times.
     """
     n = matrix.rows
+    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
     disc = [-1] * n
     fin = [-1] * n
     pred: list[int | None] = [None] * n
@@ -359,16 +371,15 @@ def _dfs_forest(matrix: SparseMatrix, may_enter, tau: CompanionTuple) -> DfsResu
         gate = may_enter(root)
         disc[root] = time
         time += 1
-        stack = [(root, iter(matrix.row(root)[0]))]
+        stack = [(root, iter(indices[indptr[root] : indptr[root + 1]]))]
         while stack:
             u, it = stack[-1]
             for v in it:
-                v = int(v)
                 if disc[v] < 0 and gate(v):
                     pred[v] = u + 1
                     disc[v] = time
                     time += 1
-                    stack.append((v, iter(matrix.row(v)[0])))
+                    stack.append((v, iter(indices[indptr[v] : indptr[v + 1]])))
                     break
             else:
                 stack.pop()

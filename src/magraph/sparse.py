@@ -2,7 +2,7 @@
 
 A SparseMatrix is three read-only numpy arrays (indptr, indices, values) in
 canonical form: duplicates summed, strictly increasing column indices per
-row, no stored zeros. Every kernel is numpy; from_coo, transpose, @ and +
+row, no stored zeros. Every kernel is numpy; from_coo, transpose and @
 canonicalize through _canonical, whose duplicate sums run in input order as
 scipy's csr_matmat does, so products keep their bits. Indices are int64,
 except from_dense's, int32 when they fit. scipy.sparse is imported only by
@@ -159,29 +159,11 @@ class SparseMatrix:
         sums = np.bincount(self.entry_rows, self.values * x[self.indices], self.rows)  # in input order
         return sums.astype(np.float64, copy=False)  # bincount gives int64 zeros for no entries
 
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"cannot add {self.shape} and {other.shape}")
-        mine, theirs = (_keys(self.shape, m.entry_rows, m.indices) for m in (self, other))
-        at = np.searchsorted(mine, theirs, "right")  # other's entries after self's equal ones, as scipy adds
-        return _canonical(self.shape, np.insert(mine, at, theirs), np.insert(self.values, at, other.values))
-
     def pattern(self, tol: float = ZERO_TOLERANCE) -> "SparseMatrix":
         """0/1 matrix marking entries with |x| >= tol."""
         keep = np.abs(self.values) >= tol
         rows, cols = self.entry_rows[keep], self.indices[keep]
         return _csr(self.shape, rows, cols, np.ones(len(cols)), self.indices.dtype)
-
-    def difference(self, other: "SparseMatrix") -> "SparseMatrix":
-        """0/1 matrix of the positions in self's pattern that other does not store, by binary search."""
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"cannot subtract {other.shape} from {self.shape}")
-        mine = self.pattern()
-        rows, cols = mine.entry_rows, mine.indices
-        keys = _keys(self.shape, rows, cols)
-        stored = np.append(_keys(self.shape, other.entry_rows, other.indices), -1)  # -1 matches no key
-        new = stored[np.searchsorted(stored[:-1], keys)] != keys
-        return _csr(self.shape, rows[new], cols[new], np.ones(int(new.sum())))
 
     def _csgraph_view(self):
         """self as a scipy csr_array, built once per matrix: the closure runs n BFS on one."""

@@ -259,10 +259,15 @@ def _random_jm(n, edges, seed):
     return _jm(n, sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(edges)}))
 
 
+def _same_bytes(want, got):
+    for a, b in zip((want.indptr, want.indices, want.values), (got.indptr, got.indices, got.values)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # query-mix digests these bytes and checks series against closure by digest;
-# the directed path needs the most semi-naive rounds (n); series looks pairs
-# up in a bool block while n·n <= 2^22 and merges against P above that
-@pytest.mark.parametrize("case", ["T", "R", "edgeless", "path", "at_limit", "above_limit"])
+# the directed path needs the most semi-naive rounds (n); both methods mark P
+# in one bool block while n <= 2048 and in blocks of 2^22 // n rows above
+@pytest.mark.parametrize("case", ["T", "R", "edgeless", "path", "at_limit", "above_limit", "path_above_limit"])
 def test_series_bytes_match_closure(case):
     from magraph import builtin_example
 
@@ -274,29 +279,49 @@ def test_series_bytes_match_closure(case):
         jm = _random_jm(2048, 2048, 20)
     elif case == "above_limit":
         jm = _random_jm(2100, 300, 21)
+    elif case == "path_above_limit":
+        jm = _jm(2049, [(v, v + 1) for v in range(2048)])
     else:
         jm = adjacency_matrix(builtin_example(case))
     closure, series = (reachability(jm, method) for method in ("closure", "series"))
-    for want, got in [(closure.pattern.indptr, series.pattern.indptr), (closure.pattern.indices, series.pattern.indices)]:
-        assert want.dtype == got.dtype == np.int64
-        assert want.tobytes() == got.tobytes()
+    assert closure.pattern.indptr.dtype == closure.pattern.indices.dtype == np.int64
+    _same_bytes(closure.pattern, series.pattern)
     assert np.all(series.pattern.values == 1.0)
     assert series.rho == closure.rho
 
 
-@pytest.mark.parametrize("n", [2048, 2100])
-def test_series_bool_block_only_within_limit(n):
-    """The n x n bool block (n² bytes) is allocated while n·n <= 2^22, never above."""
+def test_reachability_row_blocks_give_the_same_bytes(monkeypatch):
+    """With 64-cell blocks both methods run through many row blocks, some
+    ending in a partly filled block, and give the bytes of one block."""
+    from magraph import algorithms, builtin_example
+
+    graphs = [adjacency_matrix(builtin_example(name)) for name in "TR"]
+    graphs.append(adjacency_matrix(build_mag([("A", ["a", "b", "c"])], [], "e")))
+    # blocks of 64 // n rows: T 6 x 3, n = 9 and 20 end in a block of 2, n = 50 takes 50
+    graphs += [_random_jm(n, 2 * n, seed) for n, seed in [(9, 1), (20, 2), (20, 3), (50, 4)]]
+    want = [[reachability(g, m).pattern for m in ("closure", "series")] for g in graphs]
+    monkeypatch.setattr(algorithms, "_SEEN_CELLS", 64)
+    for g, patterns in zip(graphs, want):
+        for method, pattern in zip(("closure", "series"), patterns):
+            _same_bytes(pattern, reachability(g, method).pattern)
+
+
+@pytest.mark.parametrize("n", [2048, 2100, 4100])
+def test_reachability_peak_within_one_block(n):
+    """Both methods allocate one bool block of at most 2^22 cells at a time,
+    never n x n: the traced peak stays under 2^22 + O(nnz(P)) bytes, which at
+    n = 4100 is about a quarter of n²."""
     import tracemalloc
 
     jm = _random_jm(n, 300, n)
-    tracemalloc.start()
-    try:
-        reachability(jm, "series")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak >= n * n) == (n * n <= 1 << 22)
+    for method in ("closure", "series"):
+        tracemalloc.start()
+        try:
+            pattern = reachability(jm, method).pattern
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 22) + 128 * pattern.nnz
 
 
 def test_reachability_inverse_with_underflowing_cutoff():
