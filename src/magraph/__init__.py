@@ -46,7 +46,7 @@ from .errors import (
     UnknownVertexError,
     WeightCountError,
 )
-from .sparse import SparseMatrix, ZERO_TOLERANCE
+from .sparse import SparseMatrix
 from .matrices import (
     MatrixWithTuple,
     adjacency_matrix,

@@ -299,8 +299,8 @@ def _series_pattern(edges: SparseMatrix) -> SparseMatrix:
 def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMatrix:
     """0/1 reachability pattern: entry (u,v) nonzero iff v is reachable from u.
 
-    Every method works on the 0/1 pattern J of jm.matrix (entries with
-    |x| >= ZERO_TOLERANCE), and rho is taken from J too. method="closure"
+    Every method works on the 0/1 pattern J of jm.matrix, a 1 at every
+    stored entry however small, and rho is taken from J too. method="closure"
     (default) is transitive_closure_pattern, one BFS per vertex; "series"
     grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I, Δ(k+1) =
     pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is empty, d <= n

@@ -6,10 +6,11 @@ Row/column numbers are the 1-based vertex indices shifted down by one.
 
 Also here: the trivial-component elimination matrix and its products, the
 three Laplacians, the aggregation matrix of a sub-determination, and exact
-rank and nullity. matrix_rank eliminates on sparse integer rows and refuses
-matrices beyond the dense cap; nullspace_dimension answers any Laplacian
-(D - A, A >= 0 symmetric, zero row sums) by its component count at any size,
-and every other matrix through matrix_rank. Both refuse nan and inf entries.
+rank and nullity, which read every stored entry at its exact value, however
+small. matrix_rank eliminates on sparse integer rows and refuses matrices
+beyond the dense cap; nullspace_dimension answers any Laplacian (D - A,
+A >= 0 symmetric, zero row sums) by its component count at any size, and
+every other matrix through matrix_rank. Both refuse nan and inf entries.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     TooLargeForDenseError,
     WeightCountError,
 )
-from .sparse import DENSE_CAP, ZERO_TOLERANCE, SparseMatrix
+from .sparse import DENSE_CAP, SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,12 @@ def normalized_laplacian(incidence: SparseMatrix) -> SparseMatrix:
     """N·(C^T·C)·N where N_ii is the inverse Euclidean norm of column i of C.
 
     Columns of an incidence matrix hold one ±1 per incident edge, so the norm
-    is sqrt(total degree); zero columns (trivial components) get N_ii = 0.
-    The result has unit diagonal at every non-trivial vertex.
+    is sqrt(total degree). A column is trivial exactly when its degree is 0,
+    and then N_ii = 0. The result has unit diagonal at every non-trivial vertex.
     """
     lap = combinatorial_laplacian(incidence)
     degrees = lap.diagonal()
-    inv_norm = np.where(degrees > ZERO_TOLERANCE, 1.0 / np.sqrt(np.maximum(degrees, 1e-300)), 0.0)
+    inv_norm = np.divide(1.0, np.sqrt(degrees), out=np.zeros(len(degrees)), where=degrees != 0)
     n = SparseMatrix.from_diagonal(inv_norm)
     return n @ lap @ n
 
@@ -237,9 +238,8 @@ def _require_finite(matrix: SparseMatrix) -> SparseMatrix:
 def matrix_rank(matrix: SparseMatrix) -> int:
     """Exact rank by fraction-free elimination on sparse integer rows.
 
-    Entries below the zero tolerance are snapped to zero (float noise from
-    the sparse products). Each other entry is k/2^e, so a row scaled by its
-    largest denominator is an exact int row. Each step pivots on the
+    Every stored entry is read at its exact value k/2^e, so a row scaled by
+    its largest denominator is an exact int row. Each step pivots on the
     smallest leading column (the row there with the fewest entries) and
     updates only the rows that lead there: row = p·row - f·pivot, over its
     gcd. O(nnz) while rows stay sparse; fill-in can cost O(r·n^2) big-int
@@ -254,11 +254,7 @@ def matrix_rank(matrix: SparseMatrix) -> int:
     leading: dict[int, list[dict[int, int]]] = {}
     indptr, cols, values = (a.tolist() for a in (matrix.indptr, matrix.indices, matrix.values))
     for lo, hi in zip(indptr, indptr[1:]):
-        ratios = {
-            c: x.as_integer_ratio()
-            for c, x in zip(cols[lo:hi], values[lo:hi])
-            if abs(x) >= ZERO_TOLERANCE
-        }
+        ratios = {c: x.as_integer_ratio() for c, x in zip(cols[lo:hi], values[lo:hi])}
         if ratios:
             scale = max(d for _, d in ratios.values())
             row = {c: k * (scale // d) for c, (k, d) in ratios.items()}
@@ -288,24 +284,21 @@ def matrix_rank(matrix: SparseMatrix) -> int:
 def nullspace_dimension(matrix: SparseMatrix) -> int:
     """Exact nullspace dimension of a square matrix, by one of two routes.
 
-    Laplacian route, any size, O(nnz): if the snapped matrix equals its
-    transpose, has off-diagonals <= 0 and every row sums to exactly zero
-    (math.fsum is exact: a sum of floats is a multiple of 2^-1074), it is
-    D - A with A >= 0 symmetric, like every C^T·W·C with W > 0. Then
-    x^T·L·x = 1/2·sum a_ij·(x_i - x_j)^2, so the kernel is the vectors
-    constant on each component, and the component count is returned.
+    Laplacian route, any size, O(nnz): if the matrix equals its transpose,
+    has off-diagonals <= 0 and every row sums to exactly zero (math.fsum is
+    exact: a sum of floats is a multiple of 2^-1074), it is D - A with A >= 0
+    symmetric, like every C^T·W·C with W > 0. Then x^T·L·x = 1/2·sum
+    a_ij·(x_i - x_j)^2, so the kernel is the vectors constant on each
+    component of the stored entries, and the component count is returned.
     Otherwise cols - matrix_rank, which refuses beyond the dense cap. A nan
     or inf entry raises MagError.
     """
     n = _square_size(matrix)
     _require_finite(matrix)
-    rows = matrix.entry_rows
-    values = np.where(np.abs(matrix.values) >= ZERO_TOLERANCE, matrix.values, 0.0)
-    snapped = SparseMatrix.from_coo(n, n, rows, matrix.indices, values)
-    indptr, data = snapped.indptr.tolist(), snapped.values.tolist()
+    indptr, data = matrix.indptr.tolist(), matrix.values.tolist()
     if (
-        not np.any(values[rows != matrix.indices] > 0)
-        and snapped.equals(snapped.transpose())
+        not np.any(matrix.values[matrix.entry_rows != matrix.indices] > 0)
+        and matrix.equals(matrix.transpose())
         and all(math.fsum(data[lo:hi]) == 0.0 for lo, hi in zip(indptr, indptr[1:]))
     ):
         return matrix.component_count()

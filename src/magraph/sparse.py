@@ -2,11 +2,13 @@
 
 A SparseMatrix is three read-only numpy arrays (indptr, indices, values) in
 canonical form: duplicates summed, strictly increasing column indices per
-row, no stored zeros. Every kernel is numpy; from_coo, transpose and @
-canonicalize through _canonical, whose duplicate sums run in input order as
-scipy's csr_matmat does, so products keep their bits. Indices are int64,
-except from_dense's, int32 when they fit. scipy.sparse is imported only by
-the csgraph traversals, breadth_first_order and component_count.
+row, no stored zeros. Stored means nonzero, the one rule for zero: pattern,
+rank, nullity and reachability read every stored entry. Every kernel is
+numpy; from_coo, transpose and @ canonicalize through _canonical, whose
+duplicate sums run in input order as scipy's csr_matmat does, so products
+keep their bits. Indices are int64, except from_dense's, int32 when they
+fit. scipy.sparse is imported only by the csgraph traversals,
+breadth_first_order and component_count.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, MagError, ShapeMismatchError, TooLargeForDenseError
 
-# |x| below this counts as zero in pattern extraction and comparisons
-ZERO_TOLERANCE = 1e-12
-
 # side length cap for dense conversions (to_dense, inverse reachability) and
 # for exact rank, whose elimination can fill in to a dense n x n of big ints
 DENSE_CAP = 512
+
+
+def _size(value) -> int:
+    """value as a matrix side; ShapeMismatchError unless it is a non-negative integer."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ShapeMismatchError(f"matrix size {value!r} is not a non-negative integer")
+    return int(value)
 
 
 def _csr(shape, rows, cols, values, index=np.int64) -> "SparseMatrix":
@@ -79,16 +85,22 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows: int, cols: int, row_index, col_index, values) -> "SparseMatrix":
-        """Build from parallel 0-based row, column and value arrays; duplicates are summed."""
-        r, c = np.asarray(row_index, dtype=np.int64), np.asarray(col_index, dtype=np.int64)
+        """Build from parallel 0-based row, column and value arrays; duplicates are summed.
+
+        ShapeMismatchError for a size that is not a non-negative integer, and
+        IndexOutOfRangeError for an index that is not an integer inside it.
+        """
+        shape = (_size(rows), _size(cols))
+        r, c = np.asarray(row_index), np.asarray(col_index)
         data = np.array(values, dtype=np.float64)  # a copy, which the matrix owns
         if r.ndim != 1 or not r.shape == c.shape == data.shape:
             raise ShapeMismatchError(f"row, column and value arrays of shapes {r.shape}, {c.shape}, {data.shape}")
-        for axis, index, size in (("row", r, rows), ("column", c, cols)):
+        for axis, index, size in (("row", r, shape[0]), ("column", c, shape[1])):
+            if len(index) and index.dtype.kind not in "iu":
+                raise IndexOutOfRangeError(f"{axis} index {index[0]} is not an integer ({index.dtype})")
             if len(index) and not 0 <= index.min() <= index.max() < size:
                 raise IndexOutOfRangeError(f"{axis} index outside 0..{size - 1}")
-        shape = (int(rows), int(cols))
-        return _canonical(shape, _keys(shape, r, c), data)
+        return _canonical(shape, _keys(shape, r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)), data)
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
@@ -102,7 +114,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls.from_diagonal(np.ones(n))
+        return cls.from_diagonal(np.ones(_size(n)))
 
     @classmethod
     def from_diagonal(cls, values: Sequence[float]) -> "SparseMatrix":
@@ -123,11 +135,6 @@ class SparseMatrix:
     def entry_rows(self) -> np.ndarray:
         """Row index of each stored entry, parallel to indices and values."""
         return np.repeat(np.arange(self.rows), np.diff(self.indptr))
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(column indices, values) of row i; columns are strictly increasing."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
 
     def diagonal(self) -> np.ndarray:
         out = np.zeros(min(self.shape))
@@ -159,11 +166,9 @@ class SparseMatrix:
         sums = np.bincount(self.entry_rows, self.values * x[self.indices], self.rows)  # in input order
         return sums.astype(np.float64, copy=False)  # bincount gives int64 zeros for no entries
 
-    def pattern(self, tol: float = ZERO_TOLERANCE) -> "SparseMatrix":
-        """0/1 matrix marking entries with |x| >= tol."""
-        keep = np.abs(self.values) >= tol
-        rows, cols = self.entry_rows[keep], self.indices[keep]
-        return _csr(self.shape, rows, cols, np.ones(len(cols)), self.indices.dtype)
+    def pattern(self) -> "SparseMatrix":
+        """0/1 matrix with a 1 at every stored entry; shares the read-only indptr and indices."""
+        return SparseMatrix(self.shape, self.indptr, self.indices, np.ones(self.nnz))
 
     def _csgraph_view(self):
         """self as a scipy csr_array, built once per matrix: the closure runs n BFS on one."""
@@ -174,10 +179,10 @@ class SparseMatrix:
         return self._scipy
 
     def component_count(self) -> int:
-        """Connected components of the symmetrized nonzero pattern."""
+        """Connected components of the symmetrized stored entries; the values are not read."""
         from scipy.sparse import csgraph  # slow to import; only traversals need it
 
-        return int(csgraph.connected_components(self.pattern()._csgraph_view(), connection="weak")[0])
+        return int(csgraph.connected_components(self._csgraph_view(), connection="weak")[0])
 
     def breadth_first_order(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """(order, parent) of a FIFO BFS over the stored entries from 0-based start.

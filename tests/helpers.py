@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 from magraph import (
-    ZERO_TOLERANCE,
     Aspect,
     AspectList,
     CompanionTuple,
@@ -34,14 +33,20 @@ def zeros(rows, cols):
     return SparseMatrix.from_coo(rows, cols, [], [], [])
 
 
+def row(matrix, i):
+    """(column indices, values) of row i, as slices of the CSR arrays."""
+    lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+    return matrix.indices[lo:hi], matrix.values[lo:hi]
+
+
 def entry(matrix, i, j) -> float:
     """Stored value at (i, j), or 0.0, by a search of row i."""
-    cols, vals = matrix.row(i)
+    cols, vals = row(matrix, i)
     k = np.searchsorted(cols, j)
     return float(vals[k]) if k < len(cols) and cols[k] == j else 0.0
 
 
-def allclose(a, b, tol=ZERO_TOLERANCE) -> bool:
+def allclose(a, b, tol=1e-12) -> bool:
     """Same shape, and every entry within tol (absent entries are zero)."""
     return a.shape == b.shape and np.allclose(a.to_dense(), b.to_dense(), rtol=0, atol=tol)
 
@@ -144,13 +149,9 @@ def degree_oracle(mag, zeta=None, separate_loops=False):
 def rank_oracle(matrix) -> int:
     """Exact rank by dense Gaussian elimination over Fractions (largest pivot).
 
-    Entries below the zero tolerance are snapped to zero, as in matrix_rank;
-    every other float converts to its exact rational value.
+    Every float converts to its exact rational value, however small.
     """
-    a = [
-        [Fraction(x) if abs(x) >= ZERO_TOLERANCE else Fraction(0) for x in row]
-        for row in matrix.to_dense().tolist()
-    ]
+    a = [[Fraction(x) for x in row] for row in matrix.to_dense().tolist()]
     rows, cols = matrix.rows, matrix.cols
     rank = 0
     for c in range(cols):

@@ -189,9 +189,9 @@ def test_c10_sub_determined_bfs():
     # the spurious-path discriminator on R
     agg = sub_determination_matrix(jm_r.tau, SubDetermination.from_bits("01"))
     reach = reachability(jm_r, "closure").pattern
-    projected = (agg @ reach @ agg.transpose()).pattern(1e-12)
+    projected = (agg @ reach @ agg.transpose()).pattern()
     assert entry(projected, 0, 2) == 0.0
-    collapsed = sub_determined_adjacency(jm_r.matrix, agg).pattern(1e-12)
+    collapsed = sub_determined_adjacency(jm_r.matrix, agg).pattern()
     assert entry(transitive_closure_pattern(collapsed), 0, 2) != 0.0
     print("criterion 10 pass: sub-determined BFS triples and spurious-path split")
 

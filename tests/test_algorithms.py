@@ -41,6 +41,7 @@ from helpers import (
     entry,
     hop_counts_oracle,
     random_mag,
+    row,
 )
 
 INF = math.inf
@@ -196,7 +197,7 @@ def test_reachability_row_matches_bfs(mag_t):
     jm = adjacency_matrix(mag_t)
     for method in ("closure", "series", "inverse"):
         res = reachability(jm, method)
-        cols = set(res.pattern.row(1)[0] + 1)
+        cols = set(row(res.pattern, 1)[0] + 1)
         assert cols == {2, 5, 8, 9, 10, 11, 14, 15, 16, 17}
         assert np.array_equal(res.pattern.diagonal(), np.ones(18))
 
@@ -349,12 +350,12 @@ def test_reachability_inverse_refuses_lost_pairs():
         reachability(jm, "inverse")
 
 
-# every method reads the 0/1 pattern (|x| >= 1e-12): a stored 1e-13 is no
-# edge, while 3e-12 and -1.0 are; closure used to follow the 1e-13 entry and
-# inverse used to raise "lost pairs" on the small and negative paths
+# every method reads the 0/1 pattern, a 1 at every stored entry: 1e-13,
+# 3e-12 and -1.0 are all edges; inverse used to raise "lost pairs" on the
+# small and negative paths, and a stored 1e-13 used to be no edge at all
 @pytest.mark.parametrize(
     "n, value, reached",
-    [(2, 1e-13, [[1, 0], [0, 1]])]
+    [(2, 1e-13, [[1, 1], [0, 1]])]
     + [(3, v, [[1, 1, 1], [0, 1, 1], [0, 0, 1]]) for v in (3e-12, -1.0)],
 )
 def test_reachability_methods_agree_on_non_binary_entries(n, value, reached):
@@ -364,6 +365,16 @@ def test_reachability_methods_agree_on_non_binary_entries(n, value, reached):
         result = reachability(jm, method)
         assert result.pattern.to_dense().tolist() == reached, method
         assert result.rho == 0.5
+
+
+def test_traversals_and_reachability_agree_on_a_tiny_edge():
+    # a stored 1e-13 at (0, 1): bfs and dfs followed it, reachability did not
+    jm = MatrixWithTuple(SparseMatrix.from_coo(3, 3, [0], [1], [1e-13]), CompanionTuple((3,)))
+    assert bfs(jm, (0,)).vertices == (1, 2)
+    assert dfs(jm).pred == (None, 1, None)
+    reached = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    for method in ("closure", "series", "inverse"):
+        assert reachability(jm, method).pattern.to_dense().tolist() == reached, method
 
 
 def test_reachability_dense_cap():

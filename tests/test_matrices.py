@@ -434,6 +434,18 @@ def test_matrix_rank_small():
     assert matrix_rank(SparseMatrix.identity(4)) == 4
 
 
+# a stored entry below 1e-12 used to be snapped to zero by rank and nullity,
+# and a degree below it made normalized_laplacian treat the column as trivial
+def test_rank_and_nullity_read_tiny_entries():
+    tiny = parse_mag("*mag tiny\n*aspect V\n1\n2\n3\n*edges\n1 -> 2 : 1e-13\n")
+    lap = weighted_laplacian(incidence_matrix(tiny)[0].matrix, tiny.edge_weights)
+    assert nullspace_dimension(lap) == 2
+    assert matrix_rank(lap) == 1
+    assert matrix_rank(SparseMatrix.from_dense([[1e-13]])) == 1
+    incidence = SparseMatrix.from_coo(1, 3, [0, 0], [0, 1], [1e-7, -1e-7])
+    assert nullspace_dimension(normalized_laplacian(incidence)) == 2
+
+
 def test_rank_and_nullity_refuse_non_finite_entries():
     # nan used to be snapped to zero (rank 1) and inf raised OverflowError
     for bad in (np.nan, np.inf, -np.inf):

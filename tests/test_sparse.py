@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from helpers import allclose, entry, from_entries, zeros
+from helpers import allclose, entry, from_entries, row, zeros
 from magraph import IndexOutOfRangeError, MagError, ShapeMismatchError, SparseMatrix, TooLargeForDenseError
 
 
@@ -93,7 +93,7 @@ def test_kernels_leave_their_operands_unchanged():
         assert state() == before
         canonical(result)
         assert not any(x.flags.writeable for x in (result.indptr, result.indices, result.values))
-    assert a.pattern().nnz == 3
+    assert a.pattern().nnz == 5
 
 
 def test_shape_mismatch():
@@ -108,7 +108,7 @@ def test_shape_mismatch():
 def test_pattern_threshold():
     m = from_entries(1, 3, [(0, 0, 1e-13), (0, 1, -2.0), (0, 2, 1e-11)])
     p = m.pattern()
-    assert entry(p, 0, 0) == 0.0
+    assert entry(p, 0, 0) == 1.0
     assert entry(p, 0, 1) == 1.0
     assert entry(p, 0, 2) == 1.0
     canonical(p)
@@ -126,10 +126,10 @@ def test_equality_and_allclose():
 
 def test_row_access():
     m = from_entries(3, 4, [(1, 3, 5.0), (1, 0, 2.0)])
-    cols, vals = m.row(1)
+    cols, vals = row(m, 1)
     assert list(cols) == [0, 3]
     assert list(vals) == [2.0, 5.0]
-    assert list(m.row(0)[0]) == []
+    assert list(row(m, 0)[0]) == []
 
 
 def test_dense_cap():
@@ -161,6 +161,10 @@ def test_from_dense_refuses_other_than_two_dimensions(array):
         ([0], [2], [1.0], IndexOutOfRangeError),
         ([0, 1], [0], [1.0, 1.0], ShapeMismatchError),
         ([0], [0], [1.0, 2.0], ShapeMismatchError),
+        # non-integer indices used to be cast to int64: 0.5 -> 0, 1.9 -> 1
+        ([0.5], [1], [1.0], IndexOutOfRangeError),
+        ([0], [1.9], [1.0], IndexOutOfRangeError),
+        (np.array([True]), [0], [1.0], IndexOutOfRangeError),
     ],
 )
 def test_from_coo_refuses_bad_indices(rows, cols, values, error):
@@ -168,14 +172,40 @@ def test_from_coo_refuses_bad_indices(rows, cols, values, error):
         SparseMatrix.from_coo(2, 2, rows, cols, values)
 
 
+# a size used to be cast to int (2.5 -> 2), and a negative one built a matrix
+# whose to_dense raised numpy's ValueError
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SparseMatrix.from_coo(2.5, 2, [0], [1], [1.0]),
+        lambda: SparseMatrix.from_coo(2, 2.0, [], [], []),
+        lambda: SparseMatrix.from_coo(-1, 2, [], [], []),
+        lambda: SparseMatrix.identity(-1),
+        lambda: SparseMatrix.identity(2.5),
+    ],
+    ids=["rows-2.5", "cols-2.0", "rows-negative", "identity-negative", "identity-2.5"],
+)
+def test_from_coo_and_identity_refuse_bad_sizes(build):
+    with pytest.raises(ShapeMismatchError, match="not a non-negative integer"):
+        build()
+
+
+def test_from_coo_takes_integer_arrays_ints_ranges_and_empty_lists():
+    want = SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]])
+    for index in ([0], np.array([0], dtype=np.int32), np.array([0], dtype=np.uint8), range(1)):
+        assert SparseMatrix.from_coo(np.int64(2), 2, index, [1], [1.0]) == want
+    assert SparseMatrix.from_coo(2, 3, [], [], []).to_dense().shape == (2, 3)
+    assert SparseMatrix.identity(np.int32(2)) == SparseMatrix.from_diagonal([1.0, 1.0])
+
+
 def test_from_coo_refuses_shapes_beyond_int64_keys():
     with pytest.raises(MagError, match="int64"):
         SparseMatrix.from_coo(3, 1 << 62, [0], [0], [1.0])
 
 
-# Values with exact zeros of both signs, entries below the pattern tolerance,
-# and sums that cancel. At most 16 triplets: scipy sorts a row's duplicates
-# with std::sort, which keeps their input order only up to 16 entries.
+# Values with exact zeros of both signs, tiny entries that are stored like
+# any other, and sums that cancel. At most 16 triplets: scipy sorts a row's
+# duplicates with std::sort, which keeps their input order only up to 16 entries.
 VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1e-13)) | st.floats(-1e3, 1e3)
 
 
@@ -217,7 +247,7 @@ def test_kernels_match_scipy_bytes(pair, data):
     assert_same(a.transpose(), sa.T)
     assert_same(a @ b, sa @ sb)
     ref = sa.copy()
-    ref.data = np.where(np.abs(ref.data) >= 1e-12, 1.0, 0.0)
+    ref.data = np.ones_like(ref.data)
     assert_same(a.pattern(), ref)
     x = np.array(data.draw(st.lists(VALUES, min_size=a.cols, max_size=a.cols)), dtype=float)
     assert a.matvec(x).tobytes() == (sa @ x).tobytes()
