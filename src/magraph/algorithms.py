@@ -37,11 +37,10 @@ from .core import (
 from .errors import (
     IndexOutOfRangeError,
     MagError,
-    TooLargeForDenseError,
     UnknownVertexError,
 )
 from .matrices import MatrixWithTuple, _square_size, sub_determination_matrix, sub_determined_adjacency
-from .sparse import DENSE_CAP, SparseMatrix
+from .sparse import SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -238,9 +237,9 @@ def bfs_sub(
 # reachability
 
 
-# Most cells of one bool block of reachability rows (4 MiB): both routes mark
-# P in row blocks of max(1, 2^22 // n) rows, one block while n <= 2048. Each
-# block repeats series' per-round overhead, so more blocks cost more rounds.
+# Most cells of one bool block of series' rows (4 MiB): series marks P in row
+# blocks of max(1, 2^22 // n) rows, one block while n <= 2048. Each block
+# repeats series' per-round overhead, so more blocks cost more rounds.
 _SEEN_CELLS = 1 << 22
 
 
@@ -250,39 +249,30 @@ def _spectral_bound(matrix: SparseMatrix) -> float:
     return 1.0 / (2.0 * max(1.0, float(row_sums.max(initial=0.0))))
 
 
-def _blocked_pattern(n: int, mark) -> SparseMatrix:
-    """0/1 n x n CSR built in bool blocks of max(1, 2^22 // n) rows, one at a time.
+def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
+    """Reflexive-transitive closure pattern of a square matrix: row s is the
+    sorted order of one BFS from s, so from_coo need not sort.
+    O(n·(n + nnz) + nnz(P)·log n), and no n-wide row is ever allocated."""
+    n = _square_size(matrix)
+    # np.sort also copies each order out of csgraph's n-long buffer, which a view would keep alive
+    reached = [np.sort(matrix.breadth_first_order(s)[0]) for s in range(n)]
+    rows = np.repeat(np.arange(n), list(map(len, reached)))
+    cols = np.concatenate([np.empty(0, np.int64), *reached])
+    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(cols)))
 
-    mark(lo, seen) sets seen[i, v] for each v that row lo + i reaches. Each
-    block reads back row-major, so from_coo need not sort, and the blocks'
-    keys are freed before it runs, which keeps its peak down.
+
+def _series_pattern(edges: SparseMatrix) -> SparseMatrix:
+    """I + J + J^2 + ... semi-naively, in bool blocks of max(1, 2^22 // n) rows.
+
+    Each block runs its own rounds on its rows of Δ and reads back row-major,
+    so from_coo need not sort, and the blocks' keys are freed before from_coo
+    runs, which keeps its peak down.
     """
+    n = edges.rows
     height = max(1, _SEEN_CELLS // max(n, 1))
 
     def block(lo: int) -> np.ndarray:
         seen = np.zeros((min(height, n - lo), n), dtype=bool)
-        mark(lo, seen)
-        return np.flatnonzero(seen) + lo * n
-
-    rows, cols = divmod(np.concatenate([np.empty(0, np.int64), *map(block, range(0, n, height))]), n)
-    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
-
-
-def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
-    """Reflexive-transitive closure pattern of a square matrix; one BFS per row, O(n·(n+nnz))."""
-
-    def mark(lo: int, seen: np.ndarray) -> None:
-        for source, row in enumerate(seen, lo):
-            row[matrix.breadth_first_order(source)[0]] = True
-
-    return _blocked_pattern(_square_size(matrix), mark)
-
-
-def _series_pattern(edges: SparseMatrix) -> SparseMatrix:
-    """I + J + J^2 + ... semi-naively, each row block in its own rounds."""
-    n = edges.rows
-
-    def mark(lo: int, seen: np.ndarray) -> None:
         rows = np.arange(len(seen))
         cols = lo + rows  # Δ0: the block's rows of I
         while len(rows):
@@ -292,8 +282,10 @@ def _series_pattern(edges: SparseMatrix) -> SparseMatrix:
             rows, cols = step.entry_rows, step.indices
             new = ~seen[rows, cols]
             rows, cols = rows[new], cols[new]
+        return np.flatnonzero(seen) + lo * n
 
-    return _blocked_pattern(n, mark)
+    rows, cols = divmod(np.concatenate([np.empty(0, np.int64), *map(block, range(0, n, height))]), n)
+    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
 
 
 def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMatrix:
@@ -301,10 +293,11 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
 
     Every method works on the 0/1 pattern J of jm.matrix, a 1 at every
     stored entry however small, and rho is taken from J too. method="closure"
-    (default) is transitive_closure_pattern, one BFS per vertex; "series"
-    grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I, Δ(k+1) =
+    (default) is transitive_closure_pattern, one BFS per vertex, whose sorted
+    orders are P's rows: O(n·(n + nnz) + nnz(P)·log n), with no n² cell term.
+    "series" grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I, Δ(k+1) =
     pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is empty, d <= n
-    rounds. Both mark P in bool blocks of max(1, 2^22 // n) rows, so
+    rounds. It marks P in bool blocks of max(1, 2^22 // n) rows, so
     "minus Pk" is a lookup, and each block runs its own rounds on its rows of
     Δ: O(n² bool cells + Σ_blocks Σk Fk·log Fk) in all, Fk >= nnz(Δk·J) the
     scalar products that Δk·J sorts, plus in every round of every block a
@@ -328,11 +321,7 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     elif method == "series":
         pattern = _series_pattern(edges)
     elif method == "inverse":
-        if n > DENSE_CAP:
-            raise TooLargeForDenseError(
-                f"inverse method needs a dense {n}x{n} solve (cap {DENSE_CAP})"
-            )
-        dense = edges.to_dense()
+        dense = edges.to_dense()  # TooLargeForDenseError above DENSE_CAP
         reached = np.linalg.inv(np.eye(n) - rho * dense.T).T > 0.5 * rho ** max(n - 1, 1)
         if np.any((reached @ dense > 0) & ~reached):  # not closed under J
             raise MagError(

@@ -3,7 +3,8 @@
 A SparseMatrix is three read-only numpy arrays (indptr, indices, values) in
 canonical form: duplicates summed, strictly increasing column indices per
 row, no stored zeros. Stored means nonzero, the one rule for zero: pattern,
-rank, nullity and reachability read every stored entry. Every kernel is
+rank, nullity and reachability read every stored entry, and @ refuses a
+product of stored entries that underflows to 0.0. Every kernel is
 numpy; from_coo, transpose and @ canonicalize through _canonical, whose
 duplicate sums run in input order as scipy's csr_matmat does, so products
 keep their bits. Indices are int64, except from_dense's, int32 when they
@@ -149,13 +150,17 @@ class SparseMatrix:
         return _canonical(self.shape[::-1], keys, self.values)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        """One product per pair of a stored (i, j) and a stored (j, k); the sums over j run in ascending j."""
+        """One product per pair of a stored (i, j) and a stored (j, k), summed in ascending j.
+
+        MagError if a product underflows to 0.0, which would drop its entry silently."""
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot multiply {self.shape} by {other.shape}")
         counts = np.diff(other.indptr)[self.indices]
         left = np.repeat(np.arange(self.nnz), counts)
         right = np.arange(len(left)) + np.repeat(other.indptr[self.indices] - np.cumsum(counts) + counts, counts)
         products = self.values[left] * other.values[right]
+        if not products.all():  # stored entries are nonzero, so a 0.0 product underflowed
+            raise MagError(f"a product of two stored entries underflows to 0.0 in {self.shape} @ {other.shape}")
         shape = (self.rows, other.cols)
         return _canonical(shape, _keys(shape, self.entry_rows[left], other.indices[right]), products)
 

@@ -266,8 +266,9 @@ def _same_bytes(want, got):
 
 
 # query-mix digests these bytes and checks series against closure by digest;
-# the directed path needs the most semi-naive rounds (n); both methods mark P
-# in one bool block while n <= 2048 and in blocks of 2^22 // n rows above
+# the directed path needs the most semi-naive rounds (n); series marks P in
+# one bool block while n <= 2048 and in blocks of 2^22 // n rows above, and
+# the closure builds P from its BFS orders at every n
 @pytest.mark.parametrize("case", ["T", "R", "edgeless", "path", "at_limit", "above_limit", "path_above_limit"])
 def test_series_bytes_match_closure(case):
     from magraph import builtin_example
@@ -292,8 +293,9 @@ def test_series_bytes_match_closure(case):
 
 
 def test_reachability_row_blocks_give_the_same_bytes(monkeypatch):
-    """With 64-cell blocks both methods run through many row blocks, some
-    ending in a partly filled block, and give the bytes of one block."""
+    """With 64-cell blocks series runs through many row blocks, some ending
+    in a partly filled block, and gives the bytes of one block; the closure,
+    which uses no block, gives the same bytes too."""
     from magraph import algorithms, builtin_example
 
     graphs = [adjacency_matrix(builtin_example(name)) for name in "TR"]
@@ -309,20 +311,23 @@ def test_reachability_row_blocks_give_the_same_bytes(monkeypatch):
 
 @pytest.mark.parametrize("n", [2048, 2100, 4100])
 def test_reachability_peak_within_one_block(n):
-    """Both methods allocate one bool block of at most 2^22 cells at a time,
-    never n x n: the traced peak stays under 2^22 + O(nnz(P)) bytes, which at
-    n = 4100 is about a quarter of n²."""
+    """series allocates one bool block of at most 2^22 cells at a time, never
+    n x n: its traced peak stays under 2^22 + O(nnz(P)) bytes, which at
+    n = 4100 is about a quarter of n². The closure allocates no block at
+    all, so its peak is O(n + nnz(P))."""
     import tracemalloc
 
+    from scipy.sparse import csgraph  # noqa: F401  its first import would count toward the peak
+
     jm = _random_jm(n, 300, n)
-    for method in ("closure", "series"):
+    for method, block in (("closure", 256 * n), ("series", 1 << 22)):
         tracemalloc.start()
         try:
             pattern = reachability(jm, method).pattern
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (1 << 22) + 128 * pattern.nnz
+        assert peak < block + 128 * pattern.nnz, method
 
 
 def test_reachability_inverse_with_underflowing_cutoff():

@@ -462,6 +462,17 @@ def test_rank_and_nullity_refuse_non_finite_entries():
         weighted_laplacian(incidence_matrix(tri)[0].matrix, tri.edge_weights)
 
 
+def test_products_that_underflow_are_refused():
+    # ±1e-170 incidence of the path 1-2-3: each product is 1e-340, which
+    # rounded to 0.0 and was dropped, so the Laplacian came back empty and
+    # its nullity read 3, where the path's is 1
+    incidence = SparseMatrix.from_coo(2, 3, [0, 0, 1, 1], [0, 1, 1, 2], [1e-170, -1e-170] * 2)
+    for laplacian in (combinatorial_laplacian, normalized_laplacian):
+        with pytest.raises(MagError, match="underflows"):
+            laplacian(incidence)
+    assert matrix_rank(incidence) == 2
+
+
 def test_nullspace_component_fallback_beyond_cap():
     # 600-vertex path graph: Laplacian nullspace = 1 connected component
     n = 600
