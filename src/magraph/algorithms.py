@@ -237,9 +237,8 @@ def bfs_sub(
 # reachability
 
 
-# Most cells of one bool block of series' rows (4 MiB): series marks P in row
-# blocks of max(1, 2^22 // n) rows, one block while n <= 2048. Each block
-# repeats series' per-round overhead, so more blocks cost more rounds.
+# Most cells of one bool block of series' rows (4 MiB): one block of n rows while n <= 2048,
+# more above. Each block repeats series' per-round overhead, so more blocks cost more rounds.
 _SEEN_CELLS = 1 << 22
 
 
@@ -251,27 +250,25 @@ def _spectral_bound(matrix: SparseMatrix) -> float:
 
 def transitive_closure_pattern(matrix: SparseMatrix) -> SparseMatrix:
     """Reflexive-transitive closure pattern of a square matrix: row s is the
-    sorted order of one BFS from s, so from_coo need not sort.
-    O(n·(n + nnz) + nnz(P)·log n), and no n-wide row is ever allocated."""
+    sorted order of one BFS from s, written straight into P's CSR arrays.
+    O(n·(n + nnz) + nnz(P)·log n) time; memory is P's arrays plus O(n)."""
     n = _square_size(matrix)
     # np.sort also copies each order out of csgraph's n-long buffer, which a view would keep alive
     reached = [np.sort(matrix.breadth_first_order(s)[0]) for s in range(n)]
-    rows = np.repeat(np.arange(n), list(map(len, reached)))
-    cols = np.concatenate([np.empty(0, np.int64), *reached])
-    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(cols)))
+    return SparseMatrix.from_sorted_rows(n, n, list(map(len, reached)), np.concatenate([np.empty(0, np.int64), *reached]))
 
 
 def _series_pattern(edges: SparseMatrix) -> SparseMatrix:
     """I + J + J^2 + ... semi-naively, in bool blocks of max(1, 2^22 // n) rows.
 
-    Each block runs its own rounds on its rows of Δ and reads back row-major,
-    so from_coo need not sort, and the blocks' keys are freed before from_coo
-    runs, which keeps its peak down.
+    Each block runs its own rounds on its rows of Δ and reads back its row
+    counts and, row-major, its columns: P's CSR arrays once concatenated.
+    Memory is P's arrays plus O(n) and one bool block.
     """
     n = edges.rows
     height = max(1, _SEEN_CELLS // max(n, 1))
 
-    def block(lo: int) -> np.ndarray:
+    def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
         seen = np.zeros((min(height, n - lo), n), dtype=bool)
         rows = np.arange(len(seen))
         cols = lo + rows  # Δ0: the block's rows of I
@@ -282,26 +279,26 @@ def _series_pattern(edges: SparseMatrix) -> SparseMatrix:
             rows, cols = step.entry_rows, step.indices
             new = ~seen[rows, cols]
             rows, cols = rows[new], cols[new]
-        return np.flatnonzero(seen) + lo * n
+        return seen.sum(axis=1), np.flatnonzero(seen) % n
 
-    rows, cols = divmod(np.concatenate([np.empty(0, np.int64), *map(block, range(0, n, height))]), n)
-    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+    counts, cols = map(np.concatenate, zip((np.empty(0, np.int64),) * 2, *map(block, range(0, n, height))))
+    return SparseMatrix.from_sorted_rows(n, n, counts, cols)
 
 
 def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMatrix:
     """0/1 reachability pattern: entry (u,v) nonzero iff v is reachable from u.
 
-    Every method works on the 0/1 pattern J of jm.matrix, a 1 at every
-    stored entry however small, and rho is taken from J too. method="closure"
-    (default) is transitive_closure_pattern, one BFS per vertex, whose sorted
-    orders are P's rows: O(n·(n + nnz) + nnz(P)·log n), with no n² cell term.
-    "series" grows I + J + J^2 + ... semi-naively: Δ0 = P0 = I, Δ(k+1) =
-    pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is empty, d <= n
-    rounds. It marks P in bool blocks of max(1, 2^22 // n) rows, so
-    "minus Pk" is a lookup, and each block runs its own rounds on its rows of
-    Δ: O(n² bool cells + Σ_blocks Σk Fk·log Fk) in all, Fk >= nnz(Δk·J) the
-    scalar products that Δk·J sorts, plus in every round of every block a
-    few numpy calls and O(block rows).
+    Every method works on the 0/1 pattern J of jm.matrix, a 1 at every stored entry
+    however small, and rho is taken from J too. method="closure" (default) is
+    transitive_closure_pattern, one BFS per vertex, whose sorted orders are P's rows:
+    O(n·(n + nnz) + nnz(P)·log n). "series" grows I + J + J^2 + ... semi-naively:
+    Δ0 = P0 = I, Δ(k+1) = pattern(Δk·J) minus Pk, P(k+1) = Pk + Δ(k+1) until Δ is
+    empty, d <= n rounds. It marks P in bool blocks of max(1, 2^22 // n) rows, so
+    "minus Pk" is a lookup, and each block runs its own rounds on its rows of Δ:
+    O(n² bool cells + Σ_blocks Σk Fk·log Fk) in all, Fk >= nnz(Δk·J) the scalar
+    products that Δk·J sorts, plus a few numpy calls and O(block rows) per round
+    of each block. Both hand P's sorted rows to SparseMatrix.from_sorted_rows, which
+    neither sorts nor keys them: P's arrays plus O(n) memory, series one bool block more.
     "inverse" densely inverts I - rho·J (only within the dense cap) and keeps
     the entries above 0.5·rho^(n-1). All methods agree, or "inverse" raises.
 

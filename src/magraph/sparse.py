@@ -4,12 +4,12 @@ A SparseMatrix is three read-only numpy arrays (indptr, indices, values) in
 canonical form: duplicates summed, strictly increasing column indices per
 row, no stored zeros. Stored means nonzero, the one rule for zero: pattern,
 rank, nullity and reachability read every stored entry, and @ refuses a
-product of stored entries that underflows to 0.0. Every kernel is
-numpy; from_coo, transpose and @ canonicalize through _canonical, whose
-duplicate sums run in input order as scipy's csr_matmat does, so products
-keep their bits. Indices are int64, except from_dense's, int32 when they
-fit. scipy.sparse is imported only by the csgraph traversals,
-breadth_first_order and component_count.
+product of stored entries that underflows to 0.0. Every kernel is numpy;
+from_coo, transpose and @ canonicalize through _canonical, whose duplicate
+sums run in input order as scipy's csr_matmat does, so products keep their
+bits; from_sorted_rows only checks 0/1 rows that are canonical already.
+Indices are int64, except from_dense's, int32 when they fit. scipy.sparse is
+imported only by the csgraph traversals, breadth_first_order and component_count.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class SparseMatrix:
     __slots__ = ("rows", "cols", "indptr", "indices", "values", "_scipy")
 
     def __init__(self, shape, indptr, indices, values):
-        """Own canonical arrays that no one else writes; outside data goes through from_coo or from_dense."""
+        """Own canonical arrays that no one else writes; outside data goes through the from_* builders."""
         for name, value in zip(self.__slots__, (*map(int, shape), indptr, indices, values, None)):
             object.__setattr__(self, name, value)
         for array in (indptr, indices, values):
@@ -102,6 +102,23 @@ class SparseMatrix:
             if len(index) and not 0 <= index.min() <= index.max() < size:
                 raise IndexOutOfRangeError(f"{axis} index outside 0..{size - 1}")
         return _canonical(shape, _keys(shape, r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)), data)
+
+    @classmethod
+    def from_sorted_rows(cls, rows: int, cols: int, counts, columns) -> "SparseMatrix":
+        """0/1 matrix whose row i is the next counts[i] of the fresh columns, O(nnz + rows·log rows) with no sort:
+        refuses bad counts (ShapeMismatchError), columns outside (IndexOutOfRangeError) or out of order (MagError)."""
+        shape = (_size(rows), _size(cols))
+        counts, indices = np.asarray(counts), np.asarray(columns)
+        if (counts.shape != (shape[0],) or indices.ndim != 1 or len(counts) and counts.dtype.kind not in "iu"
+                or counts.min(initial=0) < 0 or counts.sum() != len(indices)):
+            raise ShapeMismatchError(f"need {shape[0]} non-negative integer row counts summing to {len(indices)}")
+        if len(indices) and (indices.dtype.kind not in "iu" or not 0 <= indices.min() <= indices.max() < shape[1]):
+            raise IndexOutOfRangeError(f"column index outside 0..{shape[1] - 1} or not an integer ({indices.dtype})")
+        indptr = np.append(0, np.cumsum(counts, dtype=np.int64))
+        descents = np.flatnonzero(indices[1:] <= indices[:-1]) + 1  # one byte per entry, where np.diff takes eight
+        if not np.isin(descents, indptr).all():  # only a row may start at or below where the last one ended
+            raise MagError("columns must ascend strictly within each row")
+        return cls(shape, indptr, indices.astype(np.int64, copy=False), np.ones(len(indices)))
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":

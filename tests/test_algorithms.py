@@ -330,6 +330,44 @@ def test_reachability_peak_within_one_block(n):
         assert peak < block + 128 * pattern.nnz, method
 
 
+def test_reachability_peak_on_dense_pattern():
+    """On the directed n-cycle P holds all n² pairs, 16 bytes each. Both
+    methods write its rows straight into its CSR arrays, so the traced peak
+    stays under 32 bytes per entry of P, plus O(n) and series' bool block."""
+    import tracemalloc
+
+    from scipy.sparse import csgraph  # noqa: F401  its first import would count toward the peak
+
+    n = 600
+    jm = _jm(n, [(v, (v + 1) % n) for v in range(n)])
+    for method, block in (("closure", 0), ("series", 1 << 22)):
+        tracemalloc.start()
+        try:
+            pattern = reachability(jm, method).pattern
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pattern.nnz == n * n
+        assert peak < block + 256 * n + 32 * pattern.nnz, method
+
+
+# query-mix digests P's bytes: a builder that kept csgraph's int32 orders, or
+# any other dtype, would change every reach digest
+@pytest.mark.parametrize("case", ["T", "R", "random"])
+def test_reachability_bytes_match_oracle(case):
+    from magraph import builtin_example
+
+    mags = [builtin_example(case)] if case != "random" else [random_mag(random.Random(seed)) for seed in range(8)]
+    for mag in mags:
+        reach = closure_oracle(dense_adjacency(mag))
+        rows, cols = np.nonzero(reach)
+        want = SparseMatrix.from_coo(*reach.shape, rows, cols, np.ones(len(rows)))
+        for method in ("closure", "series"):
+            got = reachability(adjacency_matrix(mag), method).pattern
+            assert got.indptr.dtype == got.indices.dtype == np.int64 and got.values.dtype == np.float64
+            _same_bytes(want, got)
+
+
 def test_reachability_inverse_with_underflowing_cutoff():
     """At n=400 with a hub of out-degree 60, rho is about 1/120 and the cutoff
     0.5·rho^(n-1) underflows to 0.0; the pattern then rests on unreachable

@@ -203,6 +203,46 @@ def test_from_coo_refuses_shapes_beyond_int64_keys():
         SparseMatrix.from_coo(3, 1 << 62, [0], [0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "counts, columns, error, match",
+    [
+        ([2, 0], [2, 1], MagError, "ascend"),  # descending within a row
+        ([1, 2], [0, 1, 1], MagError, "ascend"),  # repeated within a row
+        ([1, 1], [0, 3], IndexOutOfRangeError, "outside"),
+        ([1, 1], [-1, 0], IndexOutOfRangeError, "outside"),
+        ([1, 1], [0.0, 1.0], IndexOutOfRangeError, "not an integer"),
+        ([3, -1], [0, 1, 2], ShapeMismatchError, "non-negative"),  # the sum alone would pass
+        ([1, 1], [0], ShapeMismatchError, "summing to 1"),
+        ([1, 1], [0, 1, 2], ShapeMismatchError, "summing to 3"),
+        ([1.0, 1.0], [0, 1], ShapeMismatchError, "integer"),
+        ([2], [0, 1], ShapeMismatchError, "need 2"),  # one count per row
+    ],
+)
+def test_from_sorted_rows_refuses(counts, columns, error, match):
+    with pytest.raises(error, match=match):
+        SparseMatrix.from_sorted_rows(2, 3, counts, columns)
+
+
+@st.composite
+def sorted_rows(draw):
+    """A bool mask of up to 6 x 6 cells, any side 0, so empty rows and empty matrices come up."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=bool).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_rows(), st.sampled_from((np.int64, np.int32)))
+def test_from_sorted_rows_gives_from_coo_bytes(mask, index):
+    rows, cols = np.nonzero(mask)
+    want = SparseMatrix.from_coo(*mask.shape, rows, cols, np.ones(len(rows)))
+    got = SparseMatrix.from_sorted_rows(*mask.shape, mask.sum(axis=1), cols.astype(index))
+    assert got.shape == want.shape
+    for a, b in zip((want.indptr, want.indices, want.values), (got.indptr, got.indices, got.values)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert not got.indices.flags.writeable
+
+
 # Values with exact zeros of both signs, tiny entries that are stored like
 # any other, and sums that cancel. At most 16 triplets: scipy sorts a row's
 # duplicates with std::sort, which keeps their input order only up to 16 entries.
