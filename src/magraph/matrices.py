@@ -6,11 +6,12 @@ Row/column numbers are the 1-based vertex indices shifted down by one.
 
 Also here: the trivial-component elimination matrix and its products, the
 three Laplacians, the aggregation matrix of a sub-determination, and exact
-rank and nullity, which read every stored entry at its exact value, however
-small. matrix_rank eliminates on sparse integer rows and refuses matrices
-beyond the dense cap; nullspace_dimension answers any Laplacian (D - A,
-A >= 0 symmetric, zero row sums) by its component count at any size, and
-every other matrix through matrix_rank. Both refuse nan and inf entries.
+rank and nullity (cols - rank), which read every stored entry at its exact
+value, however small, and refuse nan and inf. An incidence-form matrix
+(every row empty or x and -x) or a Laplacian (D - A, A >= 0 symmetric, zero
+row sums) has rank cols - its component count, at any size in
+O(nnz·log nnz), as from_coo sorts; every other matrix is eliminated on
+sparse integer rows and refused beyond the dense cap.
 """
 
 from __future__ import annotations
@@ -235,22 +236,49 @@ def _require_finite(matrix: SparseMatrix) -> SparseMatrix:
     return matrix
 
 
-def matrix_rank(matrix: SparseMatrix) -> int:
-    """Exact rank by fraction-free elimination on sparse integer rows.
+def _certified_rank(matrix: SparseMatrix) -> int | None:
+    """cols - the component count of a graph-shaped matrix, which is its rank; None for any other. O(nnz·log nnz).
 
-    Every stored entry is read at its exact value k/2^e, so a row scaled by
-    its largest denominator is an exact int row. Each step pivots on the
-    smallest leading column (the row there with the fewest entries) and
-    updates only the rows that lead there: row = p·row - f·pivot, over its
-    gcd. O(nnz) while rows stay sparse; fill-in can cost O(r·n^2) big-int
-    operations, so both sides are capped at the dense cap. A nan or inf
-    entry raises MagError.
+    Incidence form: every row is empty or x·(e_i - e_j), stored entries x and
+    -x, so the rows span the edges i-j of a graph on the columns (Biggs,
+    Algebraic Graph Theory, Prop. 4.3). Laplacian: symmetric, off-diagonals
+    <= 0, every row sums to exactly zero (math.fsum is exact), so it is D - A
+    with A >= 0 like every C^T·W·C with W > 0, and x^T·L·x = 1/2·sum
+    a_ij·(x_i - x_j)^2 vanishes exactly on the vectors constant on each component.
+    """
+    counts = np.diff(matrix.indptr)
+    if np.all((counts == 0) | (counts == 2)):  # each nonempty row is then one consecutive pair of entries
+        ends, scales = matrix.indices.reshape(-1, 2), matrix.values.reshape(-1, 2)
+        if np.array_equal(scales[:, 0], -scales[:, 1]):  # bit-exact, as no zero, nan or inf is stored here
+            edges = SparseMatrix.from_coo(matrix.cols, matrix.cols, *ends.T, np.ones(len(ends)))
+            return matrix.cols - edges.component_count()
+    if matrix.rows != matrix.cols or np.any(matrix.values[matrix.entry_rows != matrix.indices] > 0):
+        return None
+    data, indptr = matrix.values.tolist(), matrix.indptr.tolist()
+    if matrix.equals(matrix.transpose()) and all(math.fsum(data[lo:hi]) == 0.0 for lo, hi in zip(indptr, indptr[1:])):
+        return matrix.cols - matrix.component_count()
+    return None
+
+
+def matrix_rank(matrix: SparseMatrix) -> int:
+    """Exact rank: by certificate for an incidence-form matrix or a Laplacian, by elimination otherwise.
+
+    The certificate (_certified_rank) answers at any size in O(nnz·log nnz).
+    Elimination is fraction-free on sparse integer rows: every stored entry
+    is read at its exact value k/2^e, so a row scaled by its largest
+    denominator is an exact int row. Each step pivots on the smallest
+    leading column (the row there with the fewest entries) and updates only
+    the rows that lead there: row = p·row - f·pivot, over its gcd. O(nnz)
+    while rows stay sparse; fill-in can cost O(r·n^2) big-int operations, so
+    elimination refuses a side beyond the dense cap. A nan or inf entry
+    raises MagError.
     """
     _require_finite(matrix)
+    certified = _certified_rank(matrix)
+    if certified is not None:
+        return certified
     if max(matrix.rows, matrix.cols) > DENSE_CAP:
-        raise TooLargeForDenseError(
-            f"{matrix.shape} exceeds the dense cap of {DENSE_CAP}"
-        )
+        raise TooLargeForDenseError(f"{matrix.shape} exceeds the dense cap of {DENSE_CAP}")
     leading: dict[int, list[dict[int, int]]] = {}
     indptr, cols, values = (a.tolist() for a in (matrix.indptr, matrix.indices, matrix.values))
     for lo, hi in zip(indptr, indptr[1:]):
@@ -282,24 +310,10 @@ def matrix_rank(matrix: SparseMatrix) -> int:
 
 
 def nullspace_dimension(matrix: SparseMatrix) -> int:
-    """Exact nullspace dimension of a square matrix, by one of two routes.
+    """Exact nullspace dimension of a square matrix: cols - matrix_rank.
 
-    Laplacian route, any size, O(nnz): if the matrix equals its transpose,
-    has off-diagonals <= 0 and every row sums to exactly zero (math.fsum is
-    exact: a sum of floats is a multiple of 2^-1074), it is D - A with A >= 0
-    symmetric, like every C^T·W·C with W > 0. Then x^T·L·x = 1/2·sum
-    a_ij·(x_i - x_j)^2, so the kernel is the vectors constant on each
-    component of the stored entries, and the component count is returned.
-    Otherwise cols - matrix_rank, which refuses beyond the dense cap. A nan
-    or inf entry raises MagError.
+    A Laplacian or an incidence-form matrix answers by its component count at
+    any size; any other matrix is eliminated and refused beyond the dense
+    cap. A nan or inf entry raises MagError.
     """
-    n = _square_size(matrix)
-    _require_finite(matrix)
-    indptr, data = matrix.indptr.tolist(), matrix.values.tolist()
-    if (
-        not np.any(matrix.values[matrix.entry_rows != matrix.indices] > 0)
-        and matrix.equals(matrix.transpose())
-        and all(math.fsum(data[lo:hi]) == 0.0 for lo, hi in zip(indptr, indptr[1:]))
-    ):
-        return matrix.component_count()
-    return n - matrix_rank(matrix)
+    return _square_size(matrix) - matrix_rank(matrix)

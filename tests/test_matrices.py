@@ -40,7 +40,7 @@ from magraph import (
     weighted_laplacian,
 )
 import expected_builtin as ref
-from helpers import from_entries, random_mag, zeros
+from helpers import components_oracle, from_entries, random_mag, zeros
 
 
 def as_dense(m):
@@ -484,8 +484,58 @@ def test_nullspace_component_fallback_beyond_cap():
     aspects = mag.aspects
     edges = [aspects.edge((str(i),), (str(i + 1),)) for i in range(n - 1)]
     mag = build_mag(aspects, edges, "path")
-    lap = combinatorial_laplacian(incidence_matrix(mag)[0].matrix)
+    c = incidence_matrix(mag)[0].matrix
+    lap = combinatorial_laplacian(c)
     assert nullspace_dimension(lap) == 1
+    # rank by the same certificates, where elimination refuses 600 rows or columns
+    assert matrix_rank(lap) == matrix_rank(c) == 599
+    assert matrix_rank(lap) + nullspace_dimension(lap) == 600
+
+
+def test_tall_incidence_rank_is_columns_minus_components():
+    # 600 rows over 40 columns, rows x·(e_i - e_j) with non-dyadic scales and
+    # x first or -x first, repeated and empty rows; elimination refuses 600 rows
+    rng = random.Random(20)
+    cols = 40
+    base = [tuple(rng.sample(range(30), 2)) for _ in range(24)]  # columns 30..39 stay isolated
+    rows, ends, values = [], [], []
+    for r in range(600):
+        if r % 10 == 0:
+            continue  # an empty row
+        i, j = rng.choice(base)
+        x = rng.choice((0.1, 1 / 3, 1e-300, -2.5, 7.0))
+        rows += [r, r]
+        ends += [i, j] if rng.random() < 0.5 else [j, i]
+        values += [x, -x]
+    c = SparseMatrix.from_coo(600, cols, rows, ends, values)
+    first = c.values[c.indptr[:-1][np.diff(c.indptr) == 2]]
+    assert (first > 0).any() and (first < 0).any()  # both entry orders are stored
+    adj = np.zeros((cols, cols), dtype=bool)
+    adj[tuple(np.array(base).T)] = True
+    components = components_oracle(adj)
+    assert 10 < components < cols
+    assert matrix_rank(c) == cols - components
+
+
+def test_large_incidence_rank_needs_no_cap():
+    # 100k rows x 50k columns, checked against a union-find component count
+    rng = np.random.default_rng(20)
+    rows, cols = 100_000, 50_000
+    ends = rng.integers(0, cols, size=(rows, 2))  # a loop's x and -x cancel: an empty row
+    scales = rng.choice([0.1, -1 / 3, 2.0], rows)
+    r = np.arange(rows)
+    c = SparseMatrix.from_coo(rows, cols, np.r_[r, r], ends.T.ravel(), np.r_[scales, -scales])
+    parent = list(range(cols))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, j in ends.tolist():
+        parent[root(i)] = root(j)
+    components = sum(root(v) == v for v in range(cols))
+    assert matrix_rank(c) == cols - components
 
 
 def test_nullspace_refuses_non_laplacian_beyond_cap():

@@ -7,14 +7,17 @@ rank and nullity are compared with dense elimination over Fractions
 (``rank_oracle``) and with the component count of the dense closure. BFS
 order is checked against its contract from the edge arrays alone, and the
 traversals and the algebraic routes (n <= 300) against the dense closure
-(``closure_oracle``) and the edge-array degrees. The mixed-radix codec
-(``subdet_image``, ``joined_labels``) is checked vertex by vertex against the
-scalar ``vertex_index`` and ``vertex_from_index``.
+(``closure_oracle``) and the edge-array degrees. Incidence-form matrices,
+whose rank is certified by a component count, are checked up to 300 columns
+and 1024 rows, and their near misses must take elimination. The mixed-radix
+codec (``subdet_image``, ``joined_labels``) is checked vertex by vertex
+against the scalar ``vertex_index`` and ``vertex_from_index``.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from magraph import (
@@ -25,6 +28,7 @@ from magraph import (
     MagError,
     SparseMatrix,
     SubDetermination,
+    TooLargeForDenseError,
     adjacency_matrix,
     bfs,
     bfs_sub,
@@ -53,6 +57,7 @@ from magraph import (
     weighted_laplacian,
     write_mag,
 )
+from magraph.sparse import DENSE_CAP
 from helpers import (
     check_dfs_structure,
     closure_oracle,
@@ -392,3 +397,103 @@ def test_laplacian_route_matches_exact_rank_at_scale(case):
     components = components_oracle(dense_adjacency(mag))
     for lap in _laplacians(mag):
         assert nullspace_dimension(lap) == components == lap.cols - matrix_rank(lap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_matrices())
+def test_rank_plus_nullity_is_size_of_square_matrices(matrix):
+    n = min(matrix.shape)
+    square = SparseMatrix.from_dense(matrix.to_dense()[:n, :n].reshape(n, n))
+    assert matrix_rank(square) + nullspace_dimension(square) == n
+
+
+@settings(max_examples=20, deadline=None)
+@given(graphs(max_vertices=300))
+def test_rank_plus_nullity_is_size_of_laplacians(case):
+    mag, _ = case
+    for lap in _laplacians(mag):
+        assert matrix_rank(lap) + nullspace_dimension(lap) == lap.cols
+
+
+# scales of an incidence-form row x·(e_i - e_j): dyadic, non-dyadic, tiny,
+# subnormal and huge; rank and components read none of them
+SCALES = (1.0, -1.0, 0.1, -1 / 3, 2.5, 1e-300, -5e-324, 1e300)
+
+
+@st.composite
+def incidence_rows(draw, max_cols, max_rows):
+    """(rows, cols, triplets, pairs): rows x at i and -x at j, in either column
+    order, with repeated and empty rows; pairs holds each nonempty row's (i, j)."""
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    rng = draw(st.randoms(use_true_random=False))
+    reach = rng.randint(min(cols, 2), cols)  # columns at or beyond reach stay isolated
+    triplets, pairs = [], []
+    for r in range(rows):
+        if reach < 2 or rng.random() < 0.1:
+            continue  # an empty row
+        i, j = rng.choice(pairs) if pairs and rng.random() < 0.2 else rng.sample(range(reach), 2)
+        i, j = (j, i) if rng.random() < 0.5 else (i, j)
+        x = rng.choice(SCALES)
+        triplets += [(r, i, x), (r, j, -x)]
+        pairs.append((i, j))
+    return rows, cols, triplets, pairs
+
+
+def _from_triplets(rows, cols, triplets):
+    r, c, v = zip(*triplets) if triplets else ((), (), ())
+    return SparseMatrix.from_coo(rows, cols, np.array(r, dtype=np.int64), np.array(c, dtype=np.int64), v)
+
+
+def _components(cols, pairs):
+    adj = np.zeros((cols, cols), dtype=bool)
+    for i, j in pairs:
+        adj[i, j] = True
+    return components_oracle(adj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(incidence_rows(max_cols=60, max_rows=90))
+def test_incidence_rank_matches_fraction_oracle(case):
+    rows, cols, triplets, pairs = case
+    matrix = _from_triplets(rows, cols, triplets)
+    assert matrix_rank(matrix) == rank_oracle(matrix) == cols - _components(cols, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(incidence_rows(max_cols=300, max_rows=2 * DENSE_CAP))
+def test_incidence_rank_is_columns_minus_components(case):
+    rows, cols, triplets, pairs = case
+    assert matrix_rank(_from_triplets(rows, cols, triplets)) == cols - _components(cols, pairs)
+
+
+@st.composite
+def near_incidences(draw):
+    """(rows, cols, triplets) of incidence_rows plus one row that is not x and
+    -x: (x, -nextafter(x, inf)), (x, x), one entry or three."""
+    rows, cols, triplets, _ = draw(incidence_rows(max_cols=60, max_rows=90))
+    cols = max(cols, 3)
+    i, j, k = draw(st.permutations(range(cols)))[:3]
+    x = draw(st.sampled_from(SCALES))
+    row = draw(st.sampled_from(([(i, x), (j, -np.nextafter(x, np.inf))], [(i, x), (j, x)], [(i, x)],
+                                [(i, x), (j, -x), (k, x)])))
+    return rows + 1, cols, triplets + [(rows, c, v) for c, v in row]
+
+
+PATH_0_1_2 = [(0, 0, 1.0), (0, 1, -1.0), (1, 1, 1.0), (1, 2, -1.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_incidences())
+# a path 0-1-2 closed by a near row has rank 3, where its graph's count gives 2
+@example((3, 3, PATH_0_1_2 + [(2, 0, 1.0), (2, 2, 1.0)]))
+@example((3, 3, PATH_0_1_2 + [(2, 0, 1.0), (2, 2, -np.nextafter(1.0, np.inf))]))
+# a single entry e_0 beside the edge 0-1 raises the rank to 2
+@example((2, 2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, 0.1)]))
+def test_near_incidence_takes_elimination(case):
+    """The certificate must not take a near miss: elimination answers it
+    exactly, and refuses it once empty rows push it beyond the dense cap."""
+    rows, cols, triplets = case
+    matrix = _from_triplets(rows, cols, triplets)
+    assert matrix_rank(matrix) == rank_oracle(matrix)
+    with pytest.raises(TooLargeForDenseError):
+        matrix_rank(_from_triplets(DENSE_CAP + 1, cols, triplets))
