@@ -39,7 +39,6 @@ from .errors import (
     UnknownElementError,
     UnknownExampleError,
 )
-from .matrices import _require_finite
 from .sparse import SparseMatrix
 
 _FORBIDDEN_IN_LABEL = (",", "->", ":", "#", "\n")
@@ -84,10 +83,8 @@ def parse_mag(text: str) -> Mag:
             directive, _, rest = line.partition(" ")
             rest = rest.strip()
             if directive == "*mag":
-                if name is not None:
+                if name is not None:  # every other section needs a *mag before it
                     raise MagParseError("second *mag section", line=lineno)
-                if aspect_names or tables is not None:
-                    raise MagParseError("*mag must come first", line=lineno)
                 if not rest:
                     raise MagParseError("*mag needs a name", line=lineno)
                 name = rest
@@ -237,8 +234,7 @@ _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 
 def export_matrix_market(matrix: SparseMatrix, destination) -> None:
-    """Write coordinate-format Matrix Market (1-based, row-major, 17 digits); nan or inf raises."""
-    _require_finite(matrix)
+    """Write coordinate-format Matrix Market (1-based, row-major, 17 digits)."""
     rows = matrix.entry_rows + 1
     distinct, which = np.unique(matrix.values, return_inverse=True)
     values = [f"{v:.17g}" for v in distinct.tolist()]  # each distinct value once

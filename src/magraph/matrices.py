@@ -7,11 +7,12 @@ Row/column numbers are the 1-based vertex indices shifted down by one.
 Also here: the trivial-component elimination matrix and its products, the
 three Laplacians, the aggregation matrix of a sub-determination, and exact
 rank and nullity (cols - rank), which read every stored entry at its exact
-value, however small, and refuse nan and inf. An incidence-form matrix
-(every row empty or x and -x) or a Laplacian (D - A, A >= 0 symmetric, zero
-row sums) has rank cols - its component count, at any size in
-O(nnz·log nnz), as from_coo sorts; every other matrix is eliminated on
-sparse integer rows and refused beyond the dense cap.
+value, however small. An incidence-form matrix (every row empty or x and
+-x) or a Laplacian (D - A, A >= 0 symmetric, zero row sums) has rank
+cols - its component count, at any size in O(rows + (cols + nnz)·log nnz),
+as the component graph's CSR sorts its entries and binary-searches each of
+its cols row starts; every other matrix is eliminated on sparse integer
+rows and refused beyond the dense cap.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .core import (
     subdet_image,
 )
 from .errors import (
-    MagError,
     NonBinaryEntryError,
     NonPositiveWeightError,
     NonzeroDiagonalError,
@@ -183,7 +183,7 @@ def weighted_laplacian(incidence: SparseMatrix, edge_weights: Sequence[float]) -
         rule = "finite" if np.all(weights > 0) else "positive"
         raise NonPositiveWeightError(f"edge weights must be {rule}")
     w = SparseMatrix.from_diagonal(weights)
-    return _require_finite(incidence.transpose() @ w @ incidence)
+    return incidence.transpose() @ w @ incidence
 
 
 def normalized_laplacian(incidence: SparseMatrix) -> SparseMatrix:
@@ -227,19 +227,11 @@ def sub_determined_adjacency(adjacency: SparseMatrix, aggregation: SparseMatrix)
     return aggregation @ adjacency @ aggregation.transpose()
 
 
-def _require_finite(matrix: SparseMatrix) -> SparseMatrix:
-    bad = ~np.isfinite(matrix.values)
-    if bad.any():
-        k = int(bad.argmax())
-        r, c = int(matrix.entry_rows[k]) + 1, int(matrix.indices[k]) + 1
-        raise MagError(f"entry ({r},{c}) = {float(matrix.values[k])} is not finite")
-    return matrix
-
-
 def _certified_rank(matrix: SparseMatrix) -> int | None:
-    """cols - the component count of a graph-shaped matrix, which is its rank; None for any other. O(nnz·log nnz).
+    """cols - the component count of a graph-shaped matrix, which is its rank; None for any other.
 
-    Incidence form: every row is empty or x·(e_i - e_j), stored entries x and
+    O(rows + (cols + nnz)·log nnz), as a cols x cols CSR sorts its entries
+    and binary-searches its row starts. Incidence form: every row is empty or x·(e_i - e_j), stored entries x and
     -x, so the rows span the edges i-j of a graph on the columns (Biggs,
     Algebraic Graph Theory, Prop. 4.3). Laplacian: symmetric, off-diagonals
     <= 0, every row sums to exactly zero (math.fsum is exact), so it is D - A
@@ -263,17 +255,16 @@ def _certified_rank(matrix: SparseMatrix) -> int | None:
 def matrix_rank(matrix: SparseMatrix) -> int:
     """Exact rank: by certificate for an incidence-form matrix or a Laplacian, by elimination otherwise.
 
-    The certificate (_certified_rank) answers at any size in O(nnz·log nnz).
+    The certificate (_certified_rank) answers at any size in
+    O(rows + (cols + nnz)·log nnz).
     Elimination is fraction-free on sparse integer rows: every stored entry
     is read at its exact value k/2^e, so a row scaled by its largest
     denominator is an exact int row. Each step pivots on the smallest
     leading column (the row there with the fewest entries) and updates only
     the rows that lead there: row = p·row - f·pivot, over its gcd. O(nnz)
     while rows stay sparse; fill-in can cost O(r·n^2) big-int operations, so
-    elimination refuses a side beyond the dense cap. A nan or inf entry
-    raises MagError.
+    elimination refuses a side beyond the dense cap.
     """
-    _require_finite(matrix)
     certified = _certified_rank(matrix)
     if certified is not None:
         return certified
@@ -314,6 +305,6 @@ def nullspace_dimension(matrix: SparseMatrix) -> int:
 
     A Laplacian or an incidence-form matrix answers by its component count at
     any size; any other matrix is eliminated and refused beyond the dense
-    cap. A nan or inf entry raises MagError.
+    cap.
     """
     return _square_size(matrix) - matrix_rank(matrix)

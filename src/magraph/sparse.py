@@ -2,9 +2,10 @@
 
 A SparseMatrix is three read-only numpy arrays (indptr, indices, values) in
 canonical form: duplicates summed, strictly increasing column indices per
-row, no stored zeros. Stored means nonzero, the one rule for zero: pattern,
-rank, nullity and reachability read every stored entry, and @ refuses a
-product of stored entries that underflows to 0.0. Every kernel is numpy;
+row, no stored zeros. Stored means finite and nonzero: every builder and @
+refuse a nan or inf entry, pattern, rank, nullity and reachability read
+every stored entry, and @ refuses a product of stored entries that
+underflows to 0.0. Every kernel is numpy;
 from_coo, transpose and @ canonicalize through _canonical, whose duplicate
 sums run in input order as scipy's csr_matmat does, so products keep their
 bits; from_sorted_rows only checks 0/1 rows that are canonical already.
@@ -33,7 +34,11 @@ def _size(value) -> int:
 
 
 def _csr(shape, rows, cols, values, index=np.int64) -> "SparseMatrix":
-    """Wrap fresh row-major triplets with no duplicates and no zeros."""
+    """Wrap fresh row-major triplets with no duplicates and no zeros; MagError at the first nan or inf."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise MagError(f"entry ({int(rows[k]) + 1},{int(cols[k]) + 1}) = {float(values[k])} is not finite")
     indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index, copy=False)
     return SparseMatrix(shape, indptr, cols.astype(index, copy=False), values)
 

@@ -440,6 +440,11 @@ def test_closure_rejects_non_square(cols, last):
             reachability(MatrixWithTuple(matrix, CompanionTuple((2,))), method)
 
 
+def test_reachability_refuses_unknown_method(mag_t):
+    with pytest.raises(ValueError, match=r"^method must be closure\|series\|inverse, got 'bogus'$"):
+        reachability(adjacency_matrix(mag_t), "bogus")
+
+
 def test_reachability_rho(mag_t):
     res = reachability(adjacency_matrix(mag_t))
     # max out-degree of T is 3

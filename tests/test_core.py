@@ -17,6 +17,7 @@ from magraph import (
     Mag,
     NonPositiveWeightError,
     SelfLoopEdgeError,
+    ShapeMismatchError,
     SubDetermination,
     UnknownElementError,
     build_mag,
@@ -113,6 +114,33 @@ def test_nonpositive_weight_rejected(mag_t):
             Mag(mag_t.aspects, [0], [1], [weight])
 
 
+V = AspectList((Aspect("V", ("a", "b")),))
+VC = AspectList((Aspect("V", ("a", "b", "c")),))  # "c" is unknown to V
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Mag(V, [0], [2], [1.0]), IndexOutOfRangeError, "edge 0 -> 2 leaves 0..1"),
+        (lambda: Mag(V, [-1], [1], [1.0]), IndexOutOfRangeError, "edge -1 -> 1 leaves 0..1"),
+        (lambda: Mag(V, [0, 1], [1], [1.0, 1.0]), ShapeMismatchError, "edge arrays have shapes (2,), (1,) and (2,)"),
+        (lambda: Mag(V, [[0]], [[1]], [[1.0]]), ShapeMismatchError, "edge arrays have shapes (1, 1), (1, 1) and (1, 1)"),
+        # the Mag of the edges before an unknown label is checked first, so its duplicate wins
+        (lambda: build_mag(V, [V.edge(("a",), ("b",)), V.edge(("a",), ("b",)), VC.edge(("a",), ("c",))]),
+         DuplicateEdgeError, "duplicate edge (a) -> (b)"),
+        (lambda: build_mag(V, [V.edge(("a",), ("b",)), VC.edge(("a",), ("c",)), V.edge(("a",), ("b",))]),
+         UnknownElementError, "element 'c' not in aspect 'V'"),
+        (lambda: CompanionTuple((2, -1)), IndexOutOfRangeError, "companion tuple entries must be >= 0"),
+    ],
+    ids=["index-above", "index-negative", "shapes", "two-dimensional", "earlier-duplicate-wins",
+         "unknown-label", "negative-size"],
+)
+def test_construction_refusals(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # companion tuple and position weights
 
@@ -188,6 +216,12 @@ def test_vertex_from_index_worked_values():
         vertex_from_index(0, tau)
     with pytest.raises(IndexOutOfRangeError):
         vertex_from_index(19, tau)
+    # under a sub-determined tuple the dropped aspects come back as 0
+    sub = CompanionTuple((3, 0, 3))
+    assert [vertex_from_index(d, sub) for d in (1, 5, 9)] == [(0, 0, 0), (1, 0, 1), (2, 0, 2)]
+    assert all(vertex_index(vertex_from_index(d, sub), sub) == d for d in range(1, 10))
+    with pytest.raises(IndexOutOfRangeError, match="outside 1..9"):
+        vertex_from_index(10, sub)
 
 
 def test_vertex_index_out_of_range():

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from magraph import (
+    Aspect,
+    AspectList,
     DuplicateEdgeError,
     EdgeArityError,
     EmptyAspectError,
+    InvalidAspectError,
+    Mag,
     MagError,
     MagParseError,
     NonPositiveWeightError,
@@ -140,6 +144,42 @@ def test_structural_errors():
         parse_mag("")
 
 
+# one input per diagnostic of the .mag parser, write_mag and the Matrix Market
+# reader that no other test reaches: (call, input, error type, message, line)
+@pytest.mark.parametrize(
+    "call, text, error, message, line",
+    [
+        (parse_mag, "*mag a\n*mag b\n", MagParseError, "second *mag section", 2),
+        (parse_mag, "*mag x\n*aspect A\na\n*mag y\n", MagParseError, "second *mag section", 4),
+        (parse_mag, "*mag   # no name\n", MagParseError, "*mag needs a name", 1),
+        (parse_mag, "*mag x\n*aspect\n", MagParseError, "*aspect needs a name", 2),
+        (parse_mag, "*mag x\n*aspect A\na\n*aspect A\nb\n", InvalidAspectError, "duplicate aspect name 'A'", 4),
+        (parse_mag, "*mag x\n*edges\n", MagParseError, "*edges before any aspect", 2),
+        (parse_mag, "*mag x\n*aspect A\na\n*edges\n*edges\n", MagParseError, "second *edges section", 5),
+        (parse_mag, "*mag x\n*nodes\n", MagParseError, "unknown directive '*nodes'", 2),
+        (parse_mag, "*mag x\n*aspect A\na\nb\na\n", InvalidAspectError, "duplicate element 'a' in aspect 'A'", 5),
+        (parse_mag, "# empty\n*mag x\n", MagParseError, "no aspects declared", 1),
+        (parse_mag, SAMPLE + "home,t1 -> work,t1 :\n", MagParseError, "':' without a weight", 12),
+        (parse_mag, "*mag x\n*aspect A\na\nb\n*edges\n-> b\n", MagParseError, "empty label", 6),
+        (parse_mag, "*mag x\n*aspect A\na,b\n", MagParseError, "label 'a,b' contains ','", 3),
+        (parse_mag, "*mag x\n*aspect A\na->b\n", MagParseError, "label 'a->b' contains '->'", 3),
+        (write_mag, Mag(AspectList((Aspect("A", ("a:b",)),)), [], [], []), MagParseError, "label 'a:b' contains ':'", None),
+        (write_mag, Mag(AspectList((Aspect("A", ("a",)),)), [], [], [], "a#b"), MagParseError,
+         "name 'a#b' cannot be written to .mag", None),
+        (read_matrix_market, "%%MatrixMarket matrix coordinate real general\n% only a comment\n\n", MagParseError,
+         "missing size line", 2),
+    ],
+    ids=["second-mag", "mag-after-aspect", "mag-no-name", "aspect-no-name", "duplicate-aspect", "edges-first",
+         "second-edges", "unknown-directive", "duplicate-element", "no-aspects", "colon-no-weight", "empty-label",
+         "label-comma", "label-arrow", "write-label-colon", "write-name-hash", "mm-no-size-line"],
+)
+def test_diagnostics_name_type_message_and_line(call, text, error, message, line):
+    with pytest.raises(error) as err:
+        call(text)
+    assert type(err.value) is error and err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_comments_and_blanks_ignored():
     text = "\n# header\n*mag x  # trailing\n\n*aspect A\na\nb\n# note\n*edges\n\na -> b\n"
     mag = parse_mag(text)
@@ -192,13 +232,12 @@ def test_export_parse_back_random_values(tmp_path):
 
 
 def test_export_refuses_non_finite_entries(tmp_path):
-    """read_matrix_market refuses nan and inf, so export writes neither."""
+    """read_matrix_market refuses nan and inf, and no matrix stores them, so export writes neither."""
     from magraph import SparseMatrix
 
-    m = from_entries(2, 2, [(0, 0, 1.0), (1, 0, float("inf"))])
     path = tmp_path / "m.mtx"
     with pytest.raises(MagError, match=r"^entry \(2,1\) = inf is not finite$"):
-        export_matrix_market(m, path)
+        export_matrix_market(from_entries(2, 2, [(0, 0, 1.0), (1, 0, float("inf"))]), path)
     assert not path.exists()
     sink = io.StringIO()
     with pytest.raises(MagError):

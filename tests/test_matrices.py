@@ -111,6 +111,8 @@ def test_mag_from_adjacency_rejects_bad_input():
     frac = from_entries(4, 4, [(0, 1, 0.5)])
     with pytest.raises(NonBinaryEntryError):
         mag_from_adjacency(MatrixWithTuple(frac, tau))
+    with pytest.raises(ShapeMismatchError, match=r"^companion tuple must be full \(all sizes >= 1\)$"):
+        mag_from_adjacency(MatrixWithTuple(zeros(2, 2), CompanionTuple((2, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +451,9 @@ def test_rank_and_nullity_read_tiny_entries():
 def test_rank_and_nullity_refuse_non_finite_entries():
     # nan used to be snapped to zero (rank 1) and inf raised OverflowError
     for bad in (np.nan, np.inf, -np.inf):
-        m = SparseMatrix.from_diagonal([bad, 1.0])
         for f in (matrix_rank, nullspace_dimension):
             with pytest.raises(MagError, match="not finite"):
-                f(m)
+                f(SparseMatrix.from_diagonal([bad, 1.0]))
     # the parser accepts weights of 1e308; the Laplacian's diagonal overflows and is refused
     tri = parse_mag(
         "*mag tri\n*aspect A\na\nb\nc\n*edges\n"
@@ -462,15 +463,18 @@ def test_rank_and_nullity_refuse_non_finite_entries():
         weighted_laplacian(incidence_matrix(tri)[0].matrix, tri.edge_weights)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_products_that_underflow_are_refused():
     # ±1e-170 incidence of the path 1-2-3: each product is 1e-340, which
     # rounded to 0.0 and was dropped, so the Laplacian came back empty and
-    # its nullity read 3, where the path's is 1
-    incidence = SparseMatrix.from_coo(2, 3, [0, 0, 1, 1], [0, 1, 1, 2], [1e-170, -1e-170] * 2)
-    for laplacian in (combinatorial_laplacian, normalized_laplacian):
-        with pytest.raises(MagError, match="underflows"):
-            laplacian(incidence)
-    assert matrix_rank(incidence) == 2
+    # its nullity read 3, where the path's is 1. Its ±1e200 twin overflows:
+    # the Laplacian held ±inf and its normalized form came back empty too.
+    for scale, fault in ((1e-170, "underflows"), (1e200, "not finite")):
+        incidence = SparseMatrix.from_coo(2, 3, [0, 0, 1, 1], [0, 1, 1, 2], [scale, -scale] * 2)
+        for laplacian in (combinatorial_laplacian, normalized_laplacian):
+            with pytest.raises(MagError, match=fault):
+                laplacian(incidence)
+        assert matrix_rank(incidence) == 2
 
 
 def test_nullspace_component_fallback_beyond_cap():

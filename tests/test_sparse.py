@@ -2,6 +2,7 @@
 byte for byte, against scipy.sparse as a test-only oracle."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,39 @@ def test_from_coo_refuses_shapes_beyond_int64_keys():
         SparseMatrix.from_coo(3, 1 << 62, [0], [0], [1.0])
 
 
+def test_from_coo_sorts_keys_too_wide_to_pack_with_a_stable_argsort():
+    # 2 x 2^61 cells leave no bits to pack 4 positions beside a key, so the
+    # unsorted keys take np.argsort; the two (1, 5) entries sum in input order
+    m = SparseMatrix.from_coo(2, 2**61, [1, 0, 1, 0], [5, 2**61 - 1, 5, 0], [1.0, 2.0, 3.0, -1.0])
+    assert m.indptr.tolist() == [0, 2, 3]
+    assert m.indices.tolist() == [0, 2**61 - 1, 5]
+    assert m.values.tolist() == [-1.0, 2.0, 4.0]
+
+
+# nan and inf used to be stored: a 1e200 incidence gave an inf Laplacian whose
+# normalized form came back empty. The first bad entry in row-major order is named.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SparseMatrix.from_coo(2, 3, [1, 0], [0, 2], [np.inf, np.nan]), "entry (1,3) = nan"),
+        (lambda: SparseMatrix.from_coo(1, 1, [0, 0], [0, 0], [1e308, 1e308]), "entry (1,1) = inf"),
+        (lambda: SparseMatrix.from_coo(1, 2, [0, 0], [1, 1], [np.inf, -np.inf]), "entry (1,2) = nan"),
+        (lambda: SparseMatrix.from_dense([[0.0, -np.inf], [np.nan, np.inf]]), "entry (1,2) = -inf"),
+        (lambda: SparseMatrix.from_dense([[0.0, 1.0], [0.0, np.inf]]), "entry (2,2) = inf"),
+        (lambda: SparseMatrix.from_diagonal([1.0, np.nan]), "entry (2,2) = nan"),
+        (lambda: SparseMatrix.from_diagonal([1.0, 0.0, -np.inf]), "entry (3,3) = -inf"),
+        (lambda: SparseMatrix.from_diagonal([1e200]) @ SparseMatrix.from_diagonal([1e200]), "entry (1,1) = inf"),
+        (lambda: SparseMatrix.from_dense([[1e308, 1e308]]) @ SparseMatrix.from_dense([[1.0], [1.0]]), "entry (1,1) = inf"),
+    ],
+    ids=["from_coo-nan", "from_coo-sum-inf", "from_coo-sum-nan", "from_dense-minus-inf", "from_dense-inf",
+         "from_diagonal-nan", "from_diagonal-minus-inf", "product-inf", "product-sum-inf"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_builders_and_products_refuse_non_finite_values(build, message):
+    with pytest.raises(MagError, match=f"^{re.escape(message)} is not finite$"):
+        build()
+
+
 @pytest.mark.parametrize(
     "counts, columns, error, match",
     [
@@ -244,9 +278,9 @@ def test_from_sorted_rows_gives_from_coo_bytes(mask, index):
 
 
 # Values with exact zeros of both signs, tiny entries that are stored like
-# any other, and sums that cancel. At most 16 triplets: scipy sorts a row's
+# any other, huge ones whose products overflow, and sums that cancel. At most 16 triplets: scipy sorts a row's
 # duplicates with std::sort, which keeps their input order only up to 16 entries.
-VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1e-13)) | st.floats(-1e3, 1e3)
+VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1e-13, 1e200, -1e200)) | st.floats(-1e3, 1e3)
 
 
 @st.composite
@@ -278,6 +312,7 @@ def assert_same(ours, ref, index=np.int64):
     assert not ref.nnz or ref.indptr.dtype == ref.indices.dtype == index
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(coo(), st.data())
 def test_kernels_match_scipy_bytes(pair, data):
@@ -286,11 +321,16 @@ def test_kernels_match_scipy_bytes(pair, data):
     assert_same(a, sa)
     assert_same(a.transpose(), sa.T)
     da, db = sa.toarray()[:, :, None], sb.toarray()[None]
+    built = [a, b, a.transpose()]
     if np.any((da != 0) & (db != 0) & (da * db == 0)):  # a stored pair's product underflows
         with pytest.raises(MagError, match="underflows"):
             a @ b
+    elif not np.isfinite((sa @ sb).data).all():  # a product or its sum overflows
+        with pytest.raises(MagError, match="is not finite$"):
+            a @ b
     else:
-        assert_same(a @ b, sa @ sb)
+        built.append(a @ b)
+        assert_same(built[-1], sa @ sb)
     ref = sa.copy()
     ref.data = np.ones_like(ref.data)
     assert_same(a.pattern(), ref)
@@ -298,4 +338,6 @@ def test_kernels_match_scipy_bytes(pair, data):
     assert a.matvec(x).tobytes() == (sa @ x).tobytes()
     assert a.diagonal().tobytes() == sa.diagonal().tobytes()
     assert a.to_dense().tobytes() == sa.toarray().tobytes()
-    assert_same(SparseMatrix.from_dense(sa.toarray()), sp.csr_array(sa.toarray()), np.int32)
+    built += [a.pattern(), SparseMatrix.from_dense(sa.toarray())]
+    assert_same(built[-1], sp.csr_array(sa.toarray()), np.int32)
+    assert all(np.isfinite(m.values).all() and m.values.all() for m in built)  # stored means finite and nonzero
