@@ -43,6 +43,7 @@ from .errors import (
     TooLargeForDenseError,
     UnknownElementError,
     UnknownExampleError,
+    UnknownOptionError,
     UnknownVertexError,
     WeightCountError,
 )

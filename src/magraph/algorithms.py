@@ -37,6 +37,7 @@ from .core import (
 from .errors import (
     IndexOutOfRangeError,
     MagError,
+    UnknownOptionError,
     UnknownVertexError,
 )
 from .matrices import MatrixWithTuple, _square_size, sub_determination_matrix, sub_determined_adjacency
@@ -301,6 +302,7 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     neither sorts nor keys them: P's arrays plus O(n) memory, series one bool block more.
     "inverse" densely inverts I - rho·J (only within the dense cap) and keeps
     the entries above 0.5·rho^(n-1). All methods agree, or "inverse" raises.
+    Any other method raises UnknownOptionError before any work.
 
     The cutoff rests on this: the transpose of I - rho·J is an M-matrix
     with column sums >= 1/2, so LU with partial pivoting makes no row
@@ -310,6 +312,8 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
     n in the hundreds), a reachable entry below 2^-1074 rounds to 0.0, so
     the pattern is checked to be closed under J; MagError if it is not.
     """
+    if method not in ("closure", "series", "inverse"):
+        raise UnknownOptionError(f"method must be closure|series|inverse, got {method!r}")
     n = _square_size(jm.matrix)
     edges = jm.matrix.pattern()
     rho = _spectral_bound(edges)
@@ -317,7 +321,7 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
         pattern = transitive_closure_pattern(edges)
     elif method == "series":
         pattern = _series_pattern(edges)
-    elif method == "inverse":
+    else:
         dense = edges.to_dense()  # TooLargeForDenseError above DENSE_CAP
         reached = np.linalg.inv(np.eye(n) - rho * dense.T).T > 0.5 * rho ** max(n - 1, 1)
         if np.any((reached @ dense > 0) & ~reached):  # not closed under J
@@ -325,8 +329,6 @@ def reachability(jm: MatrixWithTuple, method: str = "closure") -> ReachabilityMa
                 f"inverse reachability lost pairs to float underflow (n={n}, rho={rho:.3g})"
             )
         pattern = SparseMatrix.from_dense(reached)
-    else:
-        raise ValueError(f"method must be closure|series|inverse, got {method!r}")
     return ReachabilityMatrix(pattern, rho)
 
 

@@ -78,6 +78,10 @@ class TooLargeForDenseError(MagError):
     """A dense-only computation was requested beyond the dense size cap."""
 
 
+class UnknownOptionError(MagError, ValueError):
+    """A method or kind argument names no option the function has."""
+
+
 class UnknownExampleError(MagError):
     """No builtin example with the requested name."""
 

@@ -7,12 +7,10 @@ Row/column numbers are the 1-based vertex indices shifted down by one.
 Also here: the trivial-component elimination matrix and its products, the
 three Laplacians, the aggregation matrix of a sub-determination, and exact
 rank and nullity (cols - rank), which read every stored entry at its exact
-value, however small. An incidence-form matrix (every row empty or x and
--x) or a Laplacian (D - A, A >= 0 symmetric, zero row sums) has rank
-cols - its component count, at any size in O(rows + (cols + nnz)·log nnz),
-as the component graph's CSR sorts its entries and binary-searches each of
-its cols row starts; every other matrix is eliminated on sparse integer
-rows and refused beyond the dense cap.
+value, however small. An incidence-form matrix, a Laplacian and the float
+image of a normalized Laplacian have rank cols - their component count, by
+certificate (see matrix_rank); every other matrix is eliminated on sparse
+integer rows and refused beyond the dense cap.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .errors import (
     NonzeroDiagonalError,
     ShapeMismatchError,
     TooLargeForDenseError,
+    UnknownOptionError,
     WeightCountError,
 )
 from .sparse import DENSE_CAP, SparseMatrix
@@ -158,13 +157,14 @@ def main_components(matrix: SparseMatrix, elimination: SparseMatrix, kind: str) 
 
     kind="adjacency" applies R^T·X·R (square, both sides); kind="incidence"
     applies X·R (columns only). Multiplying back by R / R^T restores the
-    original, since the removed rows/columns were zero.
+    original, since the removed rows/columns were zero. Any other kind raises
+    UnknownOptionError.
     """
     if kind == "adjacency":
         return elimination.transpose() @ matrix @ elimination
     if kind == "incidence":
         return matrix @ elimination
-    raise ValueError(f"kind must be 'adjacency' or 'incidence', got {kind!r}")
+    raise UnknownOptionError(f"kind must be 'adjacency' or 'incidence', got {kind!r}")
 
 
 def combinatorial_laplacian(incidence: SparseMatrix) -> SparseMatrix:
@@ -193,7 +193,12 @@ def normalized_laplacian(incidence: SparseMatrix) -> SparseMatrix:
     is sqrt(total degree). A column is trivial exactly when its degree is 0,
     and then N_ii = 0. The result has unit diagonal at every non-trivial vertex.
     """
-    lap = combinatorial_laplacian(incidence)
+    return _normalize(combinatorial_laplacian(incidence))
+
+
+def _normalize(lap: SparseMatrix) -> SparseMatrix:
+    """N·lap·N with N_ii = 1/sqrt(lap_ii), or 0 where lap_ii = 0: the one float
+    normalization, which the normalized certificate rebuilds bit for bit."""
     degrees = lap.diagonal()
     inv_norm = np.divide(1.0, np.sqrt(degrees), out=np.zeros(len(degrees)), where=degrees != 0)
     n = SparseMatrix.from_diagonal(inv_norm)
@@ -227,36 +232,125 @@ def sub_determined_adjacency(adjacency: SparseMatrix, aggregation: SparseMatrix)
     return aggregation @ adjacency @ aggregation.transpose()
 
 
+# the normalized certificate tries the scales m = 1..12, and refuses a degree
+# ratio that could make some d_i·d_j exceed 2^52, where float64 stops being exact
+_MAX_SCALE = 12
+_MAX_DEGREE = 2.0**26
+
+
 def _certified_rank(matrix: SparseMatrix) -> int | None:
     """cols - the component count of a graph-shaped matrix, which is its rank; None for any other.
 
-    O(rows + (cols + nnz)·log nnz), as a cols x cols CSR sorts its entries
-    and binary-searches its row starts. Incidence form: every row is empty or x·(e_i - e_j), stored entries x and
+    Incidence form: every row is empty or x·(e_i - e_j), stored entries x and
     -x, so the rows span the edges i-j of a graph on the columns (Biggs,
-    Algebraic Graph Theory, Prop. 4.3). Laplacian: symmetric, off-diagonals
+    Algebraic Graph Theory, Prop. 4.3); O(rows + cols + nnz·log nnz), as a
+    cols x cols CSR sorts its entries. Laplacian: symmetric, off-diagonals
     <= 0, every row sums to exactly zero (math.fsum is exact), so it is D - A
     with A >= 0 like every C^T·W·C with W > 0, and x^T·L·x = 1/2·sum
-    a_ij·(x_i - x_j)^2 vanishes exactly on the vectors constant on each component.
+    a_ij·(x_i - x_j)^2 vanishes exactly on the vectors constant on each
+    component; O(n + nnz·log nnz) for the transpose. Normalized Laplacian:
+    symmetric, and bit for bit _normalize(D - A) of an integer Laplacian
+    (_normalized_rank), whose real form D^-1/2·(D - A)·D^-1/2 has nullity the
+    component count (Chung, Spectral Graph Theory, Lemma 1.7).
     """
     counts = np.diff(matrix.indptr)
     if np.all((counts == 0) | (counts == 2)):  # each nonempty row is then one consecutive pair of entries
         ends, scales = matrix.indices.reshape(-1, 2), matrix.values.reshape(-1, 2)
         if np.array_equal(scales[:, 0], -scales[:, 1]):  # bit-exact, as no zero, nan or inf is stored here
             edges = SparseMatrix.from_coo(matrix.cols, matrix.cols, *ends.T, np.ones(len(ends)))
-            return matrix.cols - edges.component_count()
+            return matrix.cols - edges.component_labels()[0]
     if matrix.rows != matrix.cols or np.any(matrix.values[matrix.entry_rows != matrix.indices] > 0):
         return None
+    if not matrix.equals(matrix.transpose()):
+        return None
     data, indptr = matrix.values.tolist(), matrix.indptr.tolist()
-    if matrix.equals(matrix.transpose()) and all(math.fsum(data[lo:hi]) == 0.0 for lo, hi in zip(indptr, indptr[1:])):
-        return matrix.cols - matrix.component_count()
+    if all(math.fsum(data[lo:hi]) == 0.0 for lo, hi in zip(indptr, indptr[1:])):
+        return matrix.cols - matrix.component_labels()[0]
+    return _normalized_rank(matrix)
+
+
+def _normalized_rank(matrix: SparseMatrix) -> int | None:
+    """cols - the component count if the symmetric matrix with off-diagonals <= 0
+    is bit for bit _normalize(D - A) of an integer Laplacian; None otherwise.
+
+    Every nonempty row must hold a diagonal within 4 ulps of 1 and every column
+    index a nonempty row. Let s be the null vector of a component's dense
+    block. Each component tries m = 1..12: d = rint(m·(s/s_min)^2) and
+    A_ij = rint(-N_ij·sqrt(d_i·d_j)) on its stored off-diagonals. It is
+    accepted at the first m where A >= 1, its rows of A sum to d and its rows
+    of _normalize(diag(d) - A) equal the stored ones bit for bit; a single m
+    for all components would not do, as a triangle needs m = 2 and a path of
+    three vertices fails at 2. Only the bit-exact rebuild accepts, so s can be
+    any guess. None for a component above the dense cap.
+    """
+    n, rows, cols, values = matrix.rows, matrix.entry_rows, matrix.indices, matrix.values
+    nonempty = np.diff(matrix.indptr) > 0
+    if not nonempty[cols].all() or np.any(np.abs(matrix.diagonal()[nonempty] - 1.0) > 4 * np.finfo(float).eps):
+        return None
+    count, labels = matrix.component_labels()
+    sizes = np.bincount(labels, minlength=count)
+    if sizes.max(initial=0) > DENSE_CAP:
+        return None
+    ratios = _degree_ratios(matrix, labels, sizes)
+    if not np.all(ratios <= _MAX_DEGREE / _MAX_SCALE):  # also refuses the nan of an s_min of 0
+        return None
+    on, off = rows == cols, rows != cols
+    i, j = rows[off], cols[off]
+    accepted = np.zeros(count, dtype=bool)
+    accepted[labels[~nonempty]] = True  # an empty row is a component of its own with nothing to rebuild
+    for m in range(1, _MAX_SCALE + 1):
+        d = np.rint(m * ratios)
+        a = np.rint(-values[off] * np.sqrt(d[i] * d[j]))
+        lap = np.empty(len(values))
+        lap[on], lap[off] = d[rows[on]], -np.maximum(a, 1.0)
+        # on the matrix's own pattern every product is nonzero, so the rebuild stores its entries in the same places
+        rebuilt = _normalize(SparseMatrix(matrix.shape, matrix.indptr, cols, lap))
+        wrong = np.bincount(rows, rebuilt.values != values, n) + np.bincount(i, a < 1, n) > 0
+        wrong |= np.bincount(i, a, n) != d
+        accepted |= np.bincount(labels, wrong & nonempty, count) == 0
+        if accepted.all():
+            return matrix.cols - count
     return None
 
 
-def matrix_rank(matrix: SparseMatrix) -> int:
-    """Exact rank: by certificate for an incidence-form matrix or a Laplacian, by elimination otherwise.
+def _degree_ratios(matrix: SparseMatrix, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(s/s_min)^2 per vertex, s = |the eigenvector at the least eigenvalue| of its component's dense block.
 
-    The certificate (_certified_rank) answers at any size in
-    O(rows + (cols + nnz)·log nnz).
+    Components of k vertices share batched eigh calls of at most 2^20 cells,
+    after vertices and entries are sorted by component.
+    """
+    order = np.argsort(sizes[labels] * len(sizes) + labels, kind="stable")  # by component, components by size
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    block_sizes = sizes[labels[order]]
+    rows, cols = at[matrix.entry_rows], at[matrix.indices]
+    by_row = np.argsort(rows, kind="stable")
+    sorted_rows = rows[by_row]
+    ratios = np.empty(len(order))
+    for k in np.unique(sizes).tolist():
+        lo, hi = np.searchsorted(block_sizes, [k, k + 1])
+        step = k * max(1, 2**20 // k**2)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            e = by_row[slice(*np.searchsorted(sorted_rows, [start, stop]))]
+            blocks = np.zeros(((stop - start) // k, k, k))
+            blocks[(rows[e] - start) // k, (rows[e] - start) % k, (cols[e] - start) % k] = matrix.values[e]
+            s = np.abs(np.linalg.eigh(blocks)[1][:, :, 0])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios[order[start:stop]] = (s / s.min(axis=1, keepdims=True)).ravel() ** 2
+    return ratios
+
+
+def matrix_rank(matrix: SparseMatrix) -> int:
+    """Exact rank: by certificate for a graph-shaped matrix, by elimination otherwise.
+
+    The certificate (_certified_rank) answers an incidence-form matrix or a
+    Laplacian at any size in O(rows + cols + nnz·log nnz). It answers the
+    float image of a normalized Laplacian, bit for bit _normalize(D - A) of an
+    integer Laplacian, in O(n·log n + nnz·log nnz + Σ k_c^3) when each of its
+    components has k_c <= DENSE_CAP vertices, and none otherwise. That answer
+    is the rank of the real normalized Laplacian whose float image the matrix
+    is, cols - its component count, not the rank of the rounded matrix.
     Elimination is fraction-free on sparse integer rows: every stored entry
     is read at its exact value k/2^e, so a row scaled by its largest
     denominator is an exact int row. Each step pivots on the smallest
@@ -304,7 +398,8 @@ def nullspace_dimension(matrix: SparseMatrix) -> int:
     """Exact nullspace dimension of a square matrix: cols - matrix_rank.
 
     A Laplacian or an incidence-form matrix answers by its component count at
-    any size; any other matrix is eliminated and refused beyond the dense
-    cap.
+    any size, and a normalized Laplacian's float image does when no component
+    exceeds the dense cap; any other matrix is eliminated and refused beyond
+    the dense cap.
     """
     return _square_size(matrix) - matrix_rank(matrix)

@@ -10,7 +10,7 @@ from_coo, transpose and @ canonicalize through _canonical, whose duplicate
 sums run in input order as scipy's csr_matmat does, so products keep their
 bits; from_sorted_rows only checks 0/1 rows that are canonical already.
 Indices are int64, except from_dense's, int32 when they fit. scipy.sparse is
-imported only by the csgraph traversals, breadth_first_order and component_count.
+imported only by the csgraph traversals, breadth_first_order and component_labels.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ def _csr(shape, rows, cols, values, index=np.int64) -> "SparseMatrix":
     if not finite.all():
         k = int(finite.argmin())
         raise MagError(f"entry ({int(rows[k]) + 1},{int(cols[k]) + 1}) = {float(values[k])} is not finite")
-    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index, copy=False)
+    indptr = np.zeros(shape[0] + 1, index)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])  # O(rows + nnz) row starts
     return SparseMatrix(shape, indptr, cols.astype(index, copy=False), values)
 
 
@@ -205,11 +206,12 @@ class SparseMatrix:
             object.__setattr__(self, "_scipy", sp.csr_array((self.values, self.indices, self.indptr), shape=self.shape))
         return self._scipy
 
-    def component_count(self) -> int:
-        """Connected components of the symmetrized stored entries; the values are not read."""
+    def component_labels(self) -> tuple[int, np.ndarray]:
+        """(count, label per row) of the connected components of the symmetrized stored entries; the values are not read."""
         from scipy.sparse import csgraph  # slow to import; only traversals need it
 
-        return int(csgraph.connected_components(self._csgraph_view(), connection="weak")[0])
+        count, labels = csgraph.connected_components(self._csgraph_view(), connection="weak")
+        return int(count), labels
 
     def breadth_first_order(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """(order, parent) of a FIFO BFS over the stored entries from 0-based start.

@@ -445,6 +445,13 @@ def test_reachability_refuses_unknown_method(mag_t):
         reachability(adjacency_matrix(mag_t), "bogus")
 
 
+def test_reachability_refuses_unknown_method_before_any_work():
+    # a non-square matrix would raise ShapeMismatchError if the pattern were built first
+    matrix = SparseMatrix.from_coo(2, 3, [0], [1], [1.0])
+    with pytest.raises(MagError, match="^method must be"):
+        reachability(MatrixWithTuple(matrix, CompanionTuple((2,))), "bogus")
+
+
 def test_reachability_rho(mag_t):
     res = reachability(adjacency_matrix(mag_t))
     # max out-degree of T is 3

@@ -40,7 +40,7 @@ from magraph import (
     weighted_laplacian,
 )
 import expected_builtin as ref
-from helpers import components_oracle, from_entries, random_mag, zeros
+from helpers import components_oracle, from_entries, random_mag, rank_oracle, zeros
 
 
 def as_dense(m):
@@ -203,6 +203,8 @@ def test_main_components_bad_kind(mag_t):
         main_components(
             adjacency_matrix(mag_t).matrix, elimination_matrix(mag_t), "rows"
         )
+    with pytest.raises(MagError, match="^kind must be 'adjacency' or 'incidence', got 'rows'$"):
+        main_components(adjacency_matrix(mag_t).matrix, elimination_matrix(mag_t), "rows")
 
 
 def test_reconstruction_random():
@@ -477,6 +479,47 @@ def test_products_that_underflow_are_refused():
         assert matrix_rank(incidence) == 2
 
 
+def _graph_incidence(n, pairs):
+    mag = build_mag([("V", [str(i) for i in range(n)])], [], "g")
+    edges = [mag.aspects.edge((str(i),), (str(j),)) for i, j in pairs]
+    return incidence_matrix(build_mag(mag.aspects, edges, "g"))[0].matrix
+
+
+def test_normalized_nullity_of_t_is_its_component_count(mag_t):
+    # elimination of the rounded matrix gave 6
+    nl = normalized_laplacian(incidence_matrix(mag_t)[0].matrix)
+    assert nullspace_dimension(nl) == components_oracle(as_dense(adjacency_matrix(mag_t).matrix) != 0) == 7
+    assert matrix_rank(nl) == 11
+
+
+def test_normalized_nullity_scales_each_component_alone():
+    # the triangle first rebuilds bit for bit at m = 2, where the path 3-4-5 does
+    # not (it does at m = 1); elimination of the rounded matrix gave 1
+    nl = normalized_laplacian(_graph_incidence(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]))
+    assert nullspace_dimension(nl) == 2
+
+
+def test_normalized_nullity_tries_the_scales_past_the_first_that_rounds():
+    # the path 0-1-2 with both directions of each edge (d = 2, 4, 2) rounds cleanly
+    # at m = 1, to the plain path's Laplacian, whose normalization differs in the
+    # last bit; m = 2 rebuilds it. Elimination of the rounded matrix gave 0.
+    nl = normalized_laplacian(_graph_incidence(3, [(0, 1), (1, 0), (1, 2), (2, 1)]))
+    assert nullspace_dimension(nl) == 1
+
+
+def test_near_normalized_laplacian_takes_elimination(mag_t):
+    """A diagonal entry one ulp off is no normalized Laplacian's float image:
+    elimination answers for the stored matrix, as the Fraction oracle does."""
+    single = normalized_laplacian(_graph_incidence(2, [(0, 1)]))  # [[1, -1], [-1, 1]], exactly singular
+    t = normalized_laplacian(incidence_matrix(mag_t)[0].matrix)
+    for nl, certified, near_nullity in ((single, 1, 0), (t, 7, 6)):
+        assert nullspace_dimension(nl) == certified
+        dense = as_dense(nl)
+        dense[1, 1] = np.nextafter(dense[1, 1], 2.0)
+        near = SparseMatrix.from_dense(dense)
+        assert nullspace_dimension(near) == near.cols - rank_oracle(near) == near_nullity
+
+
 def test_nullspace_component_fallback_beyond_cap():
     # 600-vertex path graph: Laplacian nullspace = 1 connected component
     n = 600
@@ -546,8 +589,8 @@ def test_nullspace_refuses_non_laplacian_beyond_cap():
     # the identity is not a Laplacian; its nullity is 0, not 600 components
     with pytest.raises(TooLargeForDenseError):
         nullspace_dimension(SparseMatrix.identity(600))
-    # rows of the normalized Laplacian do not sum to zero, so it takes the
-    # exact route, which is capped
+    # the normalized certificate's dense null-vector step is capped at
+    # DENSE_CAP too, so the 600-vertex path's component takes elimination, which refuses it
     n = 600
     mag = build_mag([("V", [str(i) for i in range(n)])], [], "path")
     edges = [mag.aspects.edge((str(i),), (str(i + 1),)) for i in range(n - 1)]

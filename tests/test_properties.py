@@ -41,6 +41,7 @@ from magraph import (
     incidence_matrix,
     mag_from_adjacency,
     matrix_rank,
+    normalized_laplacian,
     nullspace_dimension,
     parse_mag,
     reachability,
@@ -371,6 +372,18 @@ def test_laplacian_nullity_is_component_count(case):
     components = components_oracle(dense_adjacency(mag))
     for lap in _laplacians(mag):
         assert nullspace_dimension(lap) == components == lap.cols - rank_oracle(lap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=60))
+def test_normalized_laplacian_nullity_is_component_count(case):
+    """The real normalized Laplacian has nullity the component count (Chung,
+    Spectral Graph Theory, Lemma 1.7); its rounded float image is certified as
+    that graph's, where elimination finds it nonsingular on most components."""
+    mag, _ = case
+    nl = normalized_laplacian(incidence_matrix(mag)[0].matrix)
+    components = components_oracle(dense_adjacency(mag))
+    assert nullspace_dimension(nl) == components == nl.cols - matrix_rank(nl)
 
 
 @settings(max_examples=60, deadline=None)
